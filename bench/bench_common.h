@@ -273,7 +273,7 @@ inline KvRunResult RunKv(KvRunConfig config) {
   server_config.contended = config.contended;
   std::unique_ptr<Core> lock_core;
   if (config.contended) {
-    // The lock lives on the server host's island (host 0 touches it).
+    // The lock lives on the server host's simulator (host 0 touches it).
     lock_core = std::make_unique<Core>(exp->host_sim(0), 9000, 2.1);
     server_config.lock_core = lock_core.get();
   }

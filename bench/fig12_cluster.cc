@@ -52,9 +52,7 @@ ClusterResult RunCluster(StackKind kind, CcAlgorithm algorithm) {
   topo.fabric_link = topo.host_link;
 
   auto exp = Experiment::Custom(
-      [&topo](Simulator* sim, SimPartition* partition) {
-        return MakeFatTree(sim, topo, partition);
-      },
+      [&topo](Simulator* sim) { return MakeFatTree(sim, topo); },
       {ProtocolHost(kind, algorithm)});
 
   // Destination pool: every host.

@@ -49,9 +49,7 @@ LabResult RunLab(StackKind kind, CcAlgorithm algorithm) {
   bottleneck.propagation_delay = Us(10);
 
   auto exp = Experiment::Custom(
-      [&](Simulator* sim, SimPartition* partition) {
-        return MakeDumbbell(sim, 1, 1, host_link, bottleneck, partition);
-      },
+      [&](Simulator* sim) { return MakeDumbbell(sim, 1, 1, host_link, bottleneck); },
       {spec});
 
   BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});

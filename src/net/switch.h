@@ -25,7 +25,7 @@ class Switch {
   ~Switch();  // Out of line: Port is an implementation detail.
 
   const std::string& name() const { return name_; }
-  // The simulator (island) this switch's forwarding pipeline runs on.
+  // The simulator this switch's forwarding pipeline runs on.
   Simulator* sim() const { return sim_; }
 
   // Connects a new port to the given link end; returns the port index.

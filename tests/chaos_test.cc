@@ -349,9 +349,7 @@ TEST(ChaosTest, SwitchUplinkLossWindowHitsCrossSwitchTraffic) {
   LinkConfig host_link = ChaosLink();
   LinkConfig bottleneck = ChaosLink();
   auto exp = Experiment::Custom(
-      [&](Simulator* sim, SimPartition* partition) {
-        return MakeDumbbell(sim, 1, 1, host_link, bottleneck, partition);
-      },
+      [&](Simulator* sim) { return MakeDumbbell(sim, 1, 1, host_link, bottleneck); },
       {TasSpec()});
   Link* uplink = exp->net()->SwitchLink(exp->net()->switch_at(0), exp->net()->switch_at(1));
   ASSERT_NE(uplink, nullptr);

@@ -30,11 +30,11 @@ TEST(ExperimentTest, CustomTopologyAssignsSpecsRoundRobin) {
   HostSpec spec;
   spec.stack = StackKind::kIx;
   auto exp = Experiment::Custom(
-      [](Simulator* sim, SimPartition* partition) {
+      [](Simulator* sim) {
         FatTreeConfig config;
         config.k = 2;
         config.hosts_per_edge = 2;
-        return MakeFatTree(sim, config, partition);
+        return MakeFatTree(sim, config);
       },
       {spec});
   EXPECT_EQ(exp->num_hosts(), 4u);  // k=2: 2 pods x 1 edge x 2 hosts.

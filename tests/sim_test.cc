@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -32,6 +33,26 @@ TEST(SimulatorTest, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[i], i);
   }
+}
+
+// Same-time events pop in scheduling order even when one was scheduled from
+// inside a dispatched event and the other from outside dispatch after a
+// RunUntil boundary: C (scheduled by P at t=10) precedes X (scheduled at
+// t=10 by the caller, after C).
+TEST(SimulatorTest, TiesBreakByInsertionOrderAcrossRunUntil) {
+  Simulator sim;
+  std::string order;
+  sim.RunUntil(5);
+  sim.At(10, [&] {
+    order += 'P';
+    sim.At(20, [&] { order += 'C'; });
+  });
+  sim.RunUntil(10);
+  ASSERT_EQ(order, "P");
+  order.clear();
+  sim.At(20, [&] { order += 'X'; });
+  sim.Run();
+  EXPECT_EQ(order, "CX");
 }
 
 TEST(SimulatorTest, EventsCanScheduleEvents) {
