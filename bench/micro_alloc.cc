@@ -9,7 +9,8 @@
 //
 // The steady-state audits additionally cover the flat flow table and flow
 // slab (src/tas/flow_table): connection churn at stable capacity recycles
-// tombstones and free-list slots without touching the allocator.
+// tombstones, free-list slots and their payload buffers without touching the
+// allocator.
 //
 // Each benchmark also reports an "allocs/op" counter. After the benchmarks,
 // main() runs a steady-state audit: warm up each path, snapshot the counter,
@@ -30,6 +31,7 @@
 #include "src/net/packet_pool.h"
 #include "src/sim/simulator.h"
 #include "src/tas/flow_table.h"
+#include "src/tas/service.h"
 
 namespace {
 
@@ -254,23 +256,51 @@ bool AuditFlowTable() {
 }
 
 // Flow slot recycling through the slab free list: Free resets the flow in
-// place (buffers keep their capacity) and Allocate pops the free list, so
-// steady-state connection turnover is allocation-free.
+// place, scrubbing what it wrote (buffers keep their size), and Allocate pops
+// the free list, so steady-state connection turnover is allocation-free.
+// Rings are sized as TasService::AllocateFlow sizes them and written every
+// cycle, so the audit covers that real recycle path.
 bool AuditFlowSlab() {
+  const TasConfig config;
+  uint8_t payload[1500];
+  for (size_t i = 0; i < sizeof(payload); ++i) {
+    payload[i] = static_cast<uint8_t>(i % 251 + 1);
+  }
   FlowSlab slab;
+  uint32_t pos = 0;
+  const auto use = [&](FlowId id) {
+    Flow& flow = *slab.Get(id);
+    FlowCold& cold = flow.cold();
+    cold.rx_mem.resize(config.rx_buffer_bytes);
+    cold.tx_mem.resize(config.tx_buffer_bytes);
+    flow.fs.rx_base = cold.rx_mem.data();
+    flow.fs.tx_base = cold.tx_mem.data();
+    flow.fs.rx_size = config.rx_buffer_bytes;
+    flow.fs.tx_size = config.tx_buffer_bytes;
+    pos += 7919;  // Varies where the writes land, wraps included.
+    flow.AnchorRx(pos);
+    flow.AnchorTx(~pos);
+    flow.CopyIntoRx(flow.fs.rx_head, payload, sizeof(payload));
+    flow.fs.rx_head += sizeof(payload);
+    flow.AppWriteTx(payload, sizeof(payload));
+  };
+  // 64 flows x 128 KiB of rings: enough slots to cycle the free list.
   std::vector<FlowId> ids;
-  for (int i = 0; i < 1024; ++i) {
+  for (int i = 0; i < 64; ++i) {
     ids.push_back(slab.Allocate());
+    use(ids.back());
   }
   for (FlowId& id : ids) {  // Warm the free list.
     slab.Free(id);
     id = slab.Allocate();
+    use(id);
   }
   const uint64_t before = AllocCount();
   for (int i = 0; i < 100000; ++i) {
     FlowId& id = ids[static_cast<size_t>(i) % ids.size()];
     slab.Free(id);
     id = slab.Allocate();
+    use(id);
     benchmark::DoNotOptimize(slab.Get(id));
   }
   const uint64_t allocs = AllocCount() - before;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/tcp/seq.h"
 #include "src/util/logging.h"
 
 namespace tas {
@@ -52,11 +53,26 @@ void RingCopyOut(const uint8_t* base, uint32_t size, uint32_t pos, uint8_t* dst,
   }
 }
 
+// Zeroes the ring bytes at free-running positions [from, to), capped at the
+// ring size and split at the wrap.
+void RingZero(uint8_t* base, uint32_t size, uint32_t from, uint32_t to) {
+  const uint32_t len = std::min(to - from, size);
+  if (len == 0) {
+    return;
+  }
+  const uint32_t at = from % size;
+  const uint32_t first = std::min(len, size - at);
+  std::memset(base + at, 0, first);
+  if (first < len) {
+    std::memset(base, 0, len - first);
+  }
+}
+
 }  // namespace
 
 void FlowCold::Reset() {
-  rx_mem.clear();  // clear() keeps capacity; the next resize() reuses it.
-  tx_mem.clear();
+  rx_start = 0;
+  tx_start = 0;
   cc.reset();
   wcc.reset();
   last_seq_sampled = 0;
@@ -80,7 +96,35 @@ FlowCold& Flow::EnsureCold() {
   return *cold_ptr_;
 }
 
+void Flow::AnchorRx(uint32_t pos) {
+  fs.ack = pos;
+  fs.rx_head = pos;
+  fs.rx_tail = pos;
+  cold().rx_start = pos;
+}
+
+void Flow::AnchorTx(uint32_t pos) {
+  fs.seq = pos;
+  fs.tx_head = pos;
+  fs.tx_tail = pos;
+  fs.tx_sent = 0;
+  cold().tx_start = pos;
+}
+
 void Flow::Reset() {
+  if (cold_ptr_ != nullptr) {
+    // Every rx write is in order (ending at or before rx_head) or inside the
+    // out-of-order interval, which only grows until the gap closes; every tx
+    // write is an app append ending at tx_head.
+    uint32_t rx_end = fs.rx_head;
+    const uint32_t ooo_end = fs.ooo_start + fs.ooo_len;
+    if (fs.ooo_len > 0 && SeqGt(ooo_end, rx_end)) {
+      rx_end = ooo_end;
+    }
+    RingZero(fs.rx_base, fs.rx_size, cold_ptr_->rx_start, rx_end);
+    RingZero(fs.tx_base, fs.tx_size, cold_ptr_->tx_start, fs.tx_head);
+    cold_ptr_->Reset();
+  }
   fs = FlowState{};
   mss = 1448;
   peer_wscale = 0;
@@ -93,9 +137,6 @@ void Flow::Reset() {
   tx_pending = false;
   in_dirty = false;
   cstate = ConnState::kSynSent;
-  if (cold_ptr_ != nullptr) {
-    cold_ptr_->Reset();
-  }
 }
 
 void Flow::CopyIntoRx(uint32_t wire_pos, const uint8_t* src, uint32_t len) {

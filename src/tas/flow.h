@@ -38,9 +38,14 @@ enum class ConnState : uint8_t {
 // per-packet path; keeping it out of Flow keeps the hot array dense.
 struct FlowCold {
   // Payload buffer storage. In the real system these arrays live in app
-  // shared memory; fs.rx_base/tx_base point at them.
+  // shared memory; fs.rx_base/tx_base point at them. Invariant: while the
+  // slab slot is free, every byte of both is zero.
   std::vector<uint8_t> rx_mem;
   std::vector<uint8_t> tx_mem;
+  // First wire position of each ring, recorded when it is anchored: every
+  // byte the flow wrote lies at or after it, which bounds the free-time scrub.
+  uint32_t rx_start = 0;
+  uint32_t tx_start = 0;
 
   std::unique_ptr<RateCc> cc;     // Rate mode policy...
   std::unique_ptr<WindowCc> wcc;  // ...or window mode policy.
@@ -58,8 +63,9 @@ struct FlowCold {
   TimeNs timewait_start = 0;
   TimeNs established_at = 0;
 
-  // Returns to freshly-constructed state while retaining the payload buffer
-  // capacity, so slab slot recycling stays allocation-free.
+  // Returns to freshly-constructed state except for the payload buffers,
+  // which keep their size and contents: Flow::Reset scrubs them first, so a
+  // recycled slot's next AllocateFlow neither allocates nor zero-fills.
   void Reset();
 };
 
@@ -106,8 +112,16 @@ struct Flow {
     return cstate == ConnState::kEstablished || cstate == ConnState::kCloseWait;
   }
 
+  // Anchor a ring at its first wire position (the byte after the SYN): rx at
+  // irs+1 (also rcv_nxt), tx at iss+1 (also the next byte to send).
+  void AnchorRx(uint32_t pos);
+  void AnchorTx(uint32_t pos);
+
   // Returns the record (hot fields and the bound cold record) to
   // freshly-constructed state; allocation-free for slab-resident flows.
+  // First zeroes the ring bytes the flow wrote, so a free slot's buffers are
+  // all zero and the next flow never sees this one's payload. The cost is
+  // the bytes written (at most the ring size), not the ring size.
   void Reset();
 
   // --- Buffer arithmetic (all positions are free-running wire sequences) ---

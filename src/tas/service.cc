@@ -468,6 +468,8 @@ FlowId TasService::AllocateFlow(const FlowKey& key) {
   TAS_CHECK(flow_table_.Find(key) == kInvalidFlow);
   const FlowId id = flows_.Allocate();
   Flow* flow = flows_.Get(id);
+  // A recycled slot keeps its scrubbed (all-zero) buffers: both resizes are
+  // no-ops then, and zero-fill only a slot's first use.
   flow->cold().rx_mem.resize(config_.rx_buffer_bytes);
   flow->cold().tx_mem.resize(config_.tx_buffer_bytes);
   flow->fs.rx_base = flow->cold().rx_mem.data();
@@ -491,10 +493,7 @@ FlowId TasService::AllocateFlow(const FlowKey& key) {
 
   // Our ISN anchors the transmit positions: the first payload byte is iss+1.
   const uint32_t iss = static_cast<uint32_t>(rng_.Next());
-  flow->fs.seq = iss + 1;
-  flow->fs.tx_head = iss + 1;
-  flow->fs.tx_tail = iss + 1;
-  flow->fs.tx_sent = 0;
+  flow->AnchorTx(iss + 1);
 
   flow_table_.Insert(key, id);
   ++port_use_count_[key.local_port];

@@ -122,9 +122,7 @@ void SlowPath::HandleSyn(const Packet& pkt) {
 
   // Peer's ISN anchors the receive positions.
   const uint32_t irs = pkt.tcp.seq;
-  flow.fs.ack = irs + 1;
-  flow.fs.rx_head = irs + 1;
-  flow.fs.rx_tail = irs + 1;
+  flow.AnchorRx(irs + 1);
   if (pkt.tcp.has_mss) {
     flow.mss = std::min<uint16_t>(flow.mss, pkt.tcp.mss);
   }
@@ -165,9 +163,7 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
         const uint32_t irs = pkt.tcp.seq;
         service_->flow_trace().Record(service_->sim()->Now(), flow_id,
                                       FlowEventType::kSynRx, irs);
-        flow.fs.ack = irs + 1;
-        flow.fs.rx_head = irs + 1;
-        flow.fs.rx_tail = irs + 1;
+        flow.AnchorRx(irs + 1);
         if (pkt.tcp.has_mss) {
           flow.mss = std::min<uint16_t>(flow.mss, pkt.tcp.mss);
         }
@@ -607,7 +603,8 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
 void SlowPath::ScanPending() {
   const TimeNs now = service_->sim()->Now();
   const TasConfig& config = service_->config();
-  std::vector<FlowId> keep;
+  std::vector<FlowId>& keep = pending_keep_;
+  keep.clear();
   for (FlowId id : pending_) {
     Flow* fp = service_->flow_by_id(id);
     if (fp == nullptr || fp->cstate == ConnState::kFreed) {

@@ -88,6 +88,7 @@ class SlowPath {
   bool busy_ = false;
   std::unordered_map<uint16_t, Listener> listeners_;
   std::vector<FlowId> pending_;  // Flows in handshake or teardown.
+  std::vector<FlowId> pending_keep_;  // ScanPending's survivors; swapped in.
   std::unique_ptr<PeriodicTask> cc_task_;
   std::unique_ptr<PeriodicTask> monitor_task_;
   std::vector<TimeNs> busy_snapshot_;

@@ -3,11 +3,15 @@
 // scaler, and rate enforcement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "src/app/bulk.h"
 #include "src/app/rpc_echo.h"
+#include "src/fault/impairment.h"
 #include "src/harness/experiment.h"
 #include "src/shm/context_queue.h"
 #include "src/tas/slow_path.h"
@@ -77,6 +81,102 @@ TEST(FlowBufferTest, TokenBucketRefills) {
   flow.tx_tokens = 0;
   // Burst cap limits accumulation over long idle.
   EXPECT_NEAR(flow.RefillTokens(1000000, 2896), 2896.0, 1.0);
+}
+
+// --- Zero-free-slot invariant: Reset() scrubs every byte the flow wrote ---
+
+// Sizes both rings of a standalone flow as a slab flow's are sized.
+void SizeRings(Flow& flow, uint32_t size) {
+  flow.cold().rx_mem.resize(size);
+  flow.cold().tx_mem.resize(size);
+  flow.fs.rx_base = flow.cold().rx_mem.data();
+  flow.fs.tx_base = flow.cold().tx_mem.data();
+  flow.fs.rx_size = size;
+  flow.fs.tx_size = size;
+}
+
+bool AllZero(const std::vector<uint8_t>& ring) {
+  return std::all_of(ring.begin(), ring.end(), [](uint8_t b) { return b == 0; });
+}
+
+// Nonzero payload, so a byte the scrub missed shows.
+std::vector<uint8_t> Pattern(size_t len) {
+  std::vector<uint8_t> data(len);
+  for (size_t i = 0; i < len; ++i) {
+    data[i] = static_cast<uint8_t>(i % 251 + 1);
+  }
+  return data;
+}
+
+// In-order receive of `len` bytes at rx_head, as the fast path does it.
+void ReceiveInOrder(Flow& flow, uint32_t len) {
+  const std::vector<uint8_t> data = Pattern(len);
+  flow.CopyIntoRx(flow.fs.rx_head, data.data(), len);
+  flow.fs.ack += len;
+  flow.fs.rx_head += len;
+}
+
+void ExpectScrubbedAndSized(Flow& flow, uint32_t size) {
+  flow.Reset();
+  EXPECT_EQ(flow.cold().rx_mem.size(), size);  // Kept: no re-resize on reuse.
+  EXPECT_EQ(flow.cold().tx_mem.size(), size);
+  EXPECT_TRUE(AllZero(flow.cold().rx_mem));
+  EXPECT_TRUE(AllZero(flow.cold().tx_mem));
+}
+
+TEST(FlowScrubTest, DataAcrossWireWrapAndRingEnd) {
+  Flow flow;
+  SizeRings(flow, 256);
+  flow.AnchorRx(0xFFFFFF80u);  // Ring index 128; 200 bytes cross 2^32 and 256.
+  flow.AnchorTx(0xFFFFFFC0u);  // Ring index 192.
+  ReceiveInOrder(flow, 200);
+  const std::vector<uint8_t> data = Pattern(150);
+  EXPECT_EQ(flow.AppWriteTx(data.data(), 150), 150u);
+  const uint32_t rx_head = flow.fs.rx_head;  // Copied: gtest binds a reference.
+  EXPECT_LT(rx_head, flow.cold().rx_start);    // Wrapped past zero.
+  EXPECT_FALSE(AllZero(flow.cold().rx_mem));
+  ExpectScrubbedAndSized(flow, 256);
+}
+
+TEST(FlowScrubTest, OpenOutOfOrderInterval) {
+  Flow flow;
+  SizeRings(flow, 1024);
+  flow.AnchorRx(5000);
+  flow.AnchorTx(9000);
+  ReceiveInOrder(flow, 100);
+  // An out-of-order interval past a gap, never closed before the free.
+  const std::vector<uint8_t> ooo = Pattern(300);
+  flow.fs.ooo_start = 5400;
+  flow.fs.ooo_len = 300;
+  flow.CopyIntoRx(5400, ooo.data(), 300);
+  ExpectScrubbedAndSized(flow, 1024);
+}
+
+TEST(FlowScrubTest, MoreWrittenThanRingSize) {
+  Flow flow;
+  SizeRings(flow, 256);
+  flow.AnchorRx(1);
+  flow.AnchorTx(2);
+  const std::vector<uint8_t> data = Pattern(100);
+  uint8_t sink[100];
+  for (int i = 0; i < 10; ++i) {  // 1000 bytes each way through 256-byte rings.
+    ReceiveInOrder(flow, 100);
+    EXPECT_EQ(flow.AppReadRx(sink, 100), 100u);
+    EXPECT_EQ(flow.AppWriteTx(data.data(), 100), 100u);
+    flow.fs.tx_tail += 100;  // Acked.
+  }
+  ExpectScrubbedAndSized(flow, 256);
+}
+
+TEST(FlowScrubTest, FreedBeforeHandshake) {
+  // AllocateFlow anchored tx and the app queued data; the SYN-ACK never came,
+  // so rx was never anchored.
+  Flow flow;
+  SizeRings(flow, 512);
+  flow.AnchorTx(0xFFFFFF00u);
+  const std::vector<uint8_t> data = Pattern(400);
+  EXPECT_EQ(flow.AppWriteTx(data.data(), 400), 400u);
+  ExpectScrubbedAndSized(flow, 512);
 }
 
 TEST(ContextQueueTest, NotifyOnlyOnEmptyToNonEmpty) {
@@ -183,6 +283,105 @@ TEST_F(TasServiceFixture, SetActiveCoresRestersAndRecordsTrace) {
   // All RSS entries now point at queue 0.
   for (int i = 0; i < 128; ++i) {
     EXPECT_EQ(service_->nic()->RedirectionEntryQueue(i), 0);
+  }
+}
+
+// Connection churn for the recycled-slot check: keeps `concurrency`
+// connections open until `total` have run; each sends one nonzero request,
+// reads the full echo, then closes and opens the next.
+class ChurnClient : public AppHandler {
+ public:
+  ChurnClient(Stack* stack, IpAddr server, uint16_t port, size_t bytes, size_t concurrency,
+              size_t total)
+      : stack_(stack), server_(server), port_(port), request_(Pattern(bytes)),
+        concurrency_(concurrency), total_(total) {}
+  void Start() {
+    stack_->SetHandler(this);
+    for (size_t i = 0; i < concurrency_; ++i) {
+      Open();
+    }
+  }
+  void OnConnected(ConnId conn, bool success) override {
+    if (!success) {
+      Open();
+      return;
+    }
+    EXPECT_EQ(stack_->Send(conn, request_.data(), request_.size()), request_.size());
+  }
+  void OnData(ConnId conn, size_t bytes) override {
+    std::vector<uint8_t> buf(bytes);
+    size_t& got = received_[conn];
+    got += stack_->Recv(conn, buf.data(), bytes);
+    if (got == request_.size()) {
+      stack_->Close(conn);
+      ++completed_;
+      Open();
+    }
+  }
+  size_t completed() const { return completed_; }
+
+ private:
+  void Open() {
+    if (opened_ < total_) {
+      ++opened_;
+      stack_->Connect(server_, port_);
+    }
+  }
+
+  Stack* stack_;
+  IpAddr server_;
+  uint16_t port_;
+  std::vector<uint8_t> request_;
+  size_t concurrency_;
+  size_t total_;
+  size_t opened_ = 0;
+  size_t completed_ = 0;
+  std::map<ConnId, size_t> received_;
+};
+
+TEST(TasRecycleTest, RecycledSlotsStartWithZeroBuffers) {
+  // Reordering and loss put out-of-order intervals, retransmissions and
+  // handshake retries through the real service; every flow then closes.
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  LinkConfig link;
+  link.faults.Add(Reordering(0.1, Us(20), Us(80)));
+  link.faults.Add(BernoulliLoss(0.01));
+  auto exp = Experiment::PointToPoint(spec, spec, link);
+
+  EchoServerConfig sc;
+  sc.request_bytes = 6000;  // Several segments: reordering opens OOO intervals.
+  sc.response_bytes = 6000;
+  EchoServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+  server.Start();
+  ChurnClient client(exp->host(1).stack(), exp->host(0).ip(), sc.port, sc.request_bytes,
+                     /*concurrency=*/16, /*total=*/200);
+  client.Start();
+  // Long enough for backed-off SYN/FIN retries to release every straggler.
+  exp->sim().RunUntil(Sec(30));
+
+  EXPECT_EQ(client.completed(), 200u);
+  EXPECT_GT(exp->host(0).tas()->stats().ooo_accepted +
+                exp->host(1).tas()->stats().ooo_accepted,
+            0u);
+  for (int h = 0; h < 2; ++h) {
+    TasService* service = exp->host(h).tas();
+    ASSERT_EQ(service->num_flows(), 0u) << "host " << h;
+    // Allocation pops freed slots LIFO; stop at the first never-used one.
+    size_t recycled = 0;
+    for (uint16_t port = 40000;; ++port) {
+      const FlowId id = service->AllocateFlow(FlowKey{port, MakeIp(10, 9, 9, 9), 1});
+      if (FlowGenOf(id) == 0) {
+        break;
+      }
+      ++recycled;
+      const FlowCold& cold = service->flow_by_id(id)->cold();
+      EXPECT_EQ(cold.rx_mem.size(), service->config().rx_buffer_bytes);
+      EXPECT_EQ(cold.tx_mem.size(), service->config().tx_buffer_bytes);
+      EXPECT_TRUE(AllZero(cold.rx_mem)) << "host " << h << " slot " << FlowSlotOf(id);
+      EXPECT_TRUE(AllZero(cold.tx_mem)) << "host " << h << " slot " << FlowSlotOf(id);
+    }
+    EXPECT_GE(recycled, 16u) << "host " << h;
   }
 }
 
