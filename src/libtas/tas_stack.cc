@@ -33,13 +33,24 @@ const TasStack::Conn* TasStack::GetConn(ConnId id) const {
   return it == conns_.end() ? nullptr : &it->second;
 }
 
-void TasStack::AtCoreHorizon(Core* core, std::function<void()> fn) {
-  if (defer_pushes_) {
-    deferred_pushes_.push_back(std::move(fn));
+void TasStack::PushAtCoreHorizon(Core* core, size_t context_index, TxCommand command) {
+  const DeferredPush push{context_index, command};
+  if (defer_into_ != nullptr) {
+    defer_into_->push_back(push);
     return;
   }
   const TimeNs when = std::max(service_->sim()->Now(), core->busy_until());
-  service_->sim()->At(when, std::move(fn));
+  service_->sim()->At(when, [this, push] {
+    contexts_[push.context].queues->PushCommand(push.command);
+  });
+}
+
+void TasStack::FlushDeferred(size_t context_index) {
+  std::vector<DeferredPush>& pushes = contexts_[context_index].deferred;
+  for (const DeferredPush& push : pushes) {
+    contexts_[push.context].queues->PushCommand(push.command);
+  }
+  pushes.clear();
 }
 
 void TasStack::Listen(uint16_t port) {
@@ -72,12 +83,7 @@ size_t TasStack::Send(ConnId conn, const uint8_t* data, size_t len) {
                costs_->tx_api + static_cast<uint64_t>(costs_->copy_cycles_per_byte *
                                                       static_cast<double>(written)));
   if (written > 0) {
-    const FlowId flow_id = c->flow;
-    const size_t ctx_index = c->context;
-    AtCoreHorizon(core, [this, ctx_index, flow_id, written] {
-      contexts_[ctx_index].queues->PushCommand(
-          TxCommand{TxCommandType::kSend, flow_id, written});
-    });
+    PushAtCoreHorizon(core, c->context, TxCommand{TxCommandType::kSend, c->flow, written});
   }
   return written;
 }
@@ -99,12 +105,7 @@ size_t TasStack::Recv(ConnId conn, uint8_t* data, size_t len) {
                static_cast<uint64_t>(costs_->copy_cycles_per_byte * static_cast<double>(read)));
   c->deliverable -= std::min<size_t>(c->deliverable, read);
   if (was_closed && flow->RxFree() >= mss && flow->FastPathEligible()) {
-    const FlowId flow_id = c->flow;
-    const size_t ctx_index = c->context;
-    AtCoreHorizon(core, [this, ctx_index, flow_id] {
-      contexts_[ctx_index].queues->PushCommand(
-          TxCommand{TxCommandType::kWindowUpdate, flow_id, 0});
-    });
+    PushAtCoreHorizon(core, c->context, TxCommand{TxCommandType::kWindowUpdate, c->flow, 0});
   }
   return read;
 }
@@ -161,18 +162,10 @@ size_t TasStack::Splice(ConnId from, ConnId to, size_t len) {
                costs_->tx_api + static_cast<uint64_t>(costs_->splice_cycles_per_byte *
                                                       static_cast<double>(n)));
   if (was_closed && fsrc->RxFree() >= mss && fsrc->FastPathEligible()) {
-    const FlowId src_flow = src->flow;
-    const size_t src_ctx = src->context;
-    AtCoreHorizon(core, [this, src_ctx, src_flow] {
-      contexts_[src_ctx].queues->PushCommand(
-          TxCommand{TxCommandType::kWindowUpdate, src_flow, 0});
-    });
+    PushAtCoreHorizon(core, src->context,
+                      TxCommand{TxCommandType::kWindowUpdate, src->flow, 0});
   }
-  const FlowId dst_flow = dst->flow;
-  const size_t dst_ctx = dst->context;
-  AtCoreHorizon(core, [this, dst_ctx, dst_flow, n] {
-    contexts_[dst_ctx].queues->PushCommand(TxCommand{TxCommandType::kSend, dst_flow, n});
-  });
+  PushAtCoreHorizon(core, dst->context, TxCommand{TxCommandType::kSend, dst->flow, n});
   return n;
 }
 
@@ -227,23 +220,21 @@ void TasStack::DrainEvents(size_t context_index) {
     // draining stays set through dispatch: handlers may push commands whose
     // completion notifies this context again, and a nested drain would
     // clobber the batch being iterated.
-    defer_pushes_ = true;
+    // The previous batch's flush ran before this dispatch: it was scheduled
+    // first, at or before this batch's first charge ended.
+    TAS_CHECK(c.deferred.empty());
+    defer_into_ = &c.deferred;
     for (const AppEvent& e : c.batch) {
       DispatchEvent(context_index, e);
     }
-    defer_pushes_ = false;
-    if (!deferred_pushes_.empty()) {
+    defer_into_ = nullptr;
+    if (!c.deferred.empty()) {
       // All callbacks above charged c.core; their queue pushes ride one
       // aggregated event at the batch's final work horizon instead of one
       // each (each push would have been at or before this horizon).
       const TimeNs when =
           std::max(service_->sim()->Now(), c.core->busy_until());
-      service_->sim()->At(when, [fns = std::move(deferred_pushes_)] {
-        for (const auto& fn : fns) {
-          fn();
-        }
-      });
-      deferred_pushes_ = std::vector<std::function<void()>>();
+      service_->sim()->At(when, [this, context_index] { FlushDeferred(context_index); });
     }
     c.draining = false;
     DrainEvents(context_index);

@@ -58,25 +58,34 @@ class TasStack : public Stack {
     bool rx_closed = false;
   };
 
+  // A command push waiting for the app core's work horizon.
+  struct DeferredPush {
+    size_t context = 0;  // Index into contexts_ of the receiving queue.
+    TxCommand command;
+  };
+
   struct Context {
     std::unique_ptr<AppContext> queues;
     uint16_t id = 0;       // TAS-side context id.
     Core* core = nullptr;  // App core this context's thread runs on.
     bool draining = false;
-    // Events gathered for the current aggregated dispatch; keeps its
-    // capacity across drains.
+    // Events gathered for the current aggregated dispatch, and the pushes
+    // its callbacks deferred; both keep their capacity across drains.
     std::vector<AppEvent> batch;
+    std::vector<DeferredPush> deferred;
   };
 
   void DrainEvents(size_t context_index);
   void DispatchEvent(size_t context_index, const AppEvent& event);
   Conn* GetConn(ConnId id);
   const Conn* GetConn(ConnId id) const;
-  // Schedules `fn` at the app core's current work horizon (post-charge).
-  // During a batched event dispatch the pushes are deferred instead and
-  // flushed as ONE event at the batch's final horizon (the app thread rings
-  // its doorbells once per wakeup, not once per callback).
-  void AtCoreHorizon(Core* core, std::function<void()> fn);
+  // Pushes `command` onto context `context_index`'s command queue at the app
+  // core's current work horizon (post-charge). During a batched event
+  // dispatch the pushes are deferred instead and flushed, in order, as ONE
+  // event at the batch's final horizon (the app thread rings its doorbells
+  // once per wakeup, not once per callback).
+  void PushAtCoreHorizon(Core* core, size_t context_index, TxCommand command);
+  void FlushDeferred(size_t context_index);
 
   TasService* service_;
   const StackCostModel* costs_;
@@ -84,10 +93,9 @@ class TasStack : public Stack {
   std::vector<Context> contexts_;
   std::unordered_map<ConnId, Conn> conns_;  // Keyed by flow id.
   size_t next_context_rr_ = 0;  // Round-robin for accepted/united conns.
-  // AtCoreHorizon deferral state; only set inside a DrainEvents dispatch
-  // continuation (all callbacks there run on one context's core).
-  bool defer_pushes_ = false;
-  std::vector<std::function<void()>> deferred_pushes_;
+  // The dispatching context's deferred pushes; only set inside a DrainEvents
+  // dispatch continuation (all callbacks there run on one context's core).
+  std::vector<DeferredPush>* defer_into_ = nullptr;
   std::vector<uint8_t> splice_buf_;  // Ring-to-ring bounce storage for Splice.
 };
 

@@ -307,6 +307,12 @@ void FastPathCore::HandleAck(FlowId flow_id, Flow& flow, const Packet& pkt) {
   const TimeNs now = service_->sim()->Now();
   SetPeerWindowBytes(fs, static_cast<uint64_t>(pkt.tcp.window) << flow.peer_wscale);
 
+  if (flow.RecordFinAck(pkt.tcp.ack)) {
+    // Nothing is queued behind a FIN, so it acks no payload; the slow path
+    // owns the state change.
+    return;
+  }
+
   // Valid cumulative ACKs fall within the app-written region (tx_tail,
   // tx_head]. After a retransmission reset (tx_sent rewound to 0) the peer
   // may legitimately ack bytes beyond tx_tail + tx_sent from segments sent
@@ -365,8 +371,11 @@ void FastPathCore::SendAck(FlowId flow_id, Flow& flow, bool ecn_echo, TimeNs enq
   if (ecn_echo) {
     flags |= TcpFlags::kEce;
   }
+  // After our FIN the next sequence number is the one past it, as in the
+  // slow path's control ACKs.
+  const uint32_t seq = fs.seq + (flow.FinSentOnFastPath() ? 1 : 0);
   auto ack = MakeTcpPacket(service_->local_ip(), fs.local_port, fs.peer_ip, fs.peer_port,
-                           fs.seq, fs.ack, flags);
+                           seq, fs.ack, flags);
   ack->tcp.window = static_cast<uint16_t>(
       std::min<uint32_t>(flow.RxFree() >> service_->config().window_scale, 0xFFFF));
   ack->tcp.has_timestamps = true;
@@ -431,8 +440,8 @@ void FastPathCore::ProcessFlowTx(FlowId flow_id, TimeNs enqueued_at) {
     return;
   }
   flow->tx_pending = false;
-  if (!flow->FastPathEligible()) {
-    return;
+  if (!flow->FastPathEligible() || flow->FinSentOnFastPath()) {
+    return;  // Not ours, or our direction is closed.
   }
   FlowState& fs = flow->fs;
   const uint32_t avail = flow->TxAvailable();

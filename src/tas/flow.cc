@@ -79,7 +79,6 @@ void FlowCold::Reset() {
   stalled_intervals = 0;
   fin_received = false;
   fin_sent = false;
-  fin_acked = false;
   app_closed = false;
   fin_event_sent = false;
   closed_event_sent = false;
@@ -136,6 +135,7 @@ void Flow::Reset() {
   next_tx_time = 0;
   tx_pending = false;
   in_dirty = false;
+  fin_acked = false;
   cstate = ConnState::kSynSent;
 }
 

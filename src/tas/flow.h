@@ -20,8 +20,10 @@
 
 namespace tas {
 
-// Slow-path connection FSM (the fast path only touches kEstablished flows;
-// packets for flows in any other state are exceptions, paper §3.1).
+// Connection FSM, owned by the slow path. The fast path serves the data and
+// ACKs of the states Flow::FastPathEligible admits (DESIGN.md §4 has the
+// table); packets in any other state, and every SYN/FIN/RST, are exceptions
+// (paper §3.1).
 enum class ConnState : uint8_t {
   kSynSent,
   kSynRcvd,
@@ -53,7 +55,6 @@ struct FlowCold {
   int stalled_intervals = 0;      // control intervals with data outstanding.
   bool fin_received = false;      // Peer FIN consumed (ack covers it).
   bool fin_sent = false;
-  bool fin_acked = false;
   bool app_closed = false;        // App requested close.
   bool fin_event_sent = false;    // kConnFin (half-close) pushed to the app.
   bool closed_event_sent = false;
@@ -88,6 +89,9 @@ struct Flow {
   TimeNs next_tx_time = 0;      // Earliest next segment (bucket refill time).
   bool tx_pending = false;      // Work queued or pacing timer armed.
   bool in_dirty = false;        // Queued for the next CC iteration.
+  // Our FIN has been acknowledged (RecordFinAck); the slow path turns it
+  // into kFinWait2/kTimeWait. Hot so the fast path never reads FlowCold.
+  bool fin_acked = false;
   ConnState cstate = ConnState::kSynSent;
 
   // Refreshes the bucket to `now` and returns the available byte credit.
@@ -105,11 +109,27 @@ struct Flow {
   const FlowCold& cold() const { return const_cast<Flow*>(this)->cold(); }
   void BindCold(FlowCold* cold_record) { cold_ptr_ = cold_record; }
 
-  // kCloseWait is fast-path eligible too: after the peer's FIN the local
-  // direction stays open (half-close), and the remaining transmit stream is
-  // exactly the established-flow common case (data out, ACKs in).
+  // A FIN ends one direction only, so the fast path keeps serving the open
+  // one: kCloseWait (peer's FIN consumed) still transmits, and kFinWait1/2
+  // (our FIN sent) still receive. Either way the remaining stream is the
+  // established-flow common case.
   bool FastPathEligible() const {
-    return cstate == ConnState::kEstablished || cstate == ConnState::kCloseWait;
+    return cstate == ConnState::kEstablished || cstate == ConnState::kCloseWait ||
+           FinSentOnFastPath();
+  }
+  // Our FIN is out and the flow is still fast-path eligible: nothing more may
+  // be transmitted, and every ACK carries seq + 1 to cover the FIN.
+  bool FinSentOnFastPath() const {
+    return cstate == ConnState::kFinWait1 || cstate == ConnState::kFinWait2;
+  }
+  // Called by whichever path sees an ACK: in kFinWait1, an ACK of exactly
+  // seq + 1 acknowledges our FIN. Returns whether it did.
+  bool RecordFinAck(uint32_t ack) {
+    if (cstate != ConnState::kFinWait1 || ack != fs.seq + 1) {
+      return false;
+    }
+    fin_acked = true;
+    return true;
   }
 
   // Anchor a ring at its first wire position (the byte after the SYN): rx at

@@ -185,7 +185,12 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
       return false;
     }
     case ConnState::kEstablished:
-    case ConnState::kCloseWait: {
+    case ConnState::kCloseWait:
+    case ConnState::kFinWait1:
+    case ConnState::kFinWait2: {
+      if (pkt.tcp.ack_flag()) {
+        flow.RecordFinAck(pkt.tcp.ack);  // Consumed by HandleFin or ScanPending.
+      }
       if (pkt.tcp.syn()) {
         // Retransmitted SYN-ACK: our handshake-completing ACK was lost.
         SendControlAck(flow);
@@ -197,36 +202,8 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
       }
       // Data or ACK for a fast-path-eligible flow reached the slow path
       // (e.g. a race with core re-steering): bounce it back to the fast
-      // path. kCloseWait is eligible too — the local direction still streams.
+      // path, which serves whichever direction is still open.
       return true;
-    }
-    case ConnState::kFinWait1: {
-      if (pkt.tcp.ack_flag() && pkt.tcp.ack == flow.fs.seq + 1) {
-        flow.cold().fin_acked = true;
-      }
-      if (pkt.tcp.fin()) {
-        HandleFin(flow_id, flow, pkt);
-        return false;
-      }
-      // The peer's direction is still open: a half-closed peer (e.g. a proxy
-      // flushing a response after our FIN) may keep streaming payload.
-      DeliverPayload(flow_id, flow, pkt);
-      if (flow.cold().fin_acked) {
-        flow.cstate = flow.cold().fin_received ? ConnState::kTimeWait : ConnState::kFinWait2;
-        if (flow.cstate == ConnState::kTimeWait) {
-          flow.cold().timewait_start = service_->sim()->Now();
-        }
-        TraceState(flow_id, flow);
-      }
-      return false;
-    }
-    case ConnState::kFinWait2: {
-      if (pkt.tcp.fin()) {
-        HandleFin(flow_id, flow, pkt);
-      } else {
-        DeliverPayload(flow_id, flow, pkt);
-      }
-      return false;
     }
     case ConnState::kLastAck: {
       if (pkt.tcp.ack_flag() && pkt.tcp.ack == flow.fs.seq + 1) {
@@ -244,25 +221,6 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
       return false;
   }
   return false;
-}
-
-void SlowPath::DeliverPayload(FlowId flow_id, Flow& flow, const Packet& pkt) {
-  if (pkt.payload.empty()) {
-    return;
-  }
-  const uint32_t len = static_cast<uint32_t>(pkt.payload.size());
-  if (pkt.tcp.seq == flow.fs.ack && len <= flow.RxFree()) {
-    flow.CopyIntoRx(pkt.tcp.seq, pkt.payload.data(), len);
-    flow.fs.ack += len;
-    flow.fs.rx_head += len;
-    service_->flow_trace().Record(service_->sim()->Now(), flow_id, FlowEventType::kDataRx,
-                                  pkt.tcp.seq, len, len);
-    service_->context(flow.fs.context)
-        ->PushEvent(AppEvent{AppEventType::kRxData, flow.fs.opaque, len});
-  }
-  // In-order: ack advanced past the segment. Out-of-order or overflow: the
-  // duplicate ACK below makes the peer retransmit.
-  SendControlAck(flow);
 }
 
 void SlowPath::HandleFin(FlowId flow_id, Flow& flow, const Packet& pkt) {
@@ -298,7 +256,7 @@ void SlowPath::HandleFin(FlowId flow_id, Flow& flow, const Packet& pkt) {
       AddPending(flow_id, flow);
       break;
     case ConnState::kFinWait1:
-      flow.cstate = flow.cold().fin_acked ? ConnState::kTimeWait : ConnState::kFinWait1;
+      flow.cstate = flow.fin_acked ? ConnState::kTimeWait : ConnState::kFinWait1;
       if (flow.cstate == ConnState::kTimeWait) {
         flow.cold().timewait_start = service_->sim()->Now();
         TraceState(flow_id, flow);
@@ -490,9 +448,11 @@ void SlowPath::ControlLoop() {
   // Congestion control for flows with recent activity (paper: the slow path
   // runs a control-loop iteration per flow every control interval; flows
   // without feedback and without outstanding data have nothing to update).
-  std::vector<FlowId> dirty;
-  dirty.swap(service_->dirty_flows());
-  for (FlowId id : dirty) {
+  // Double-buffered: the service gets back last tick's emptied list, so
+  // neither regrows, and flows re-marked below land in it for the next tick.
+  dirty_scan_.clear();
+  dirty_scan_.swap(service_->dirty_flows());
+  for (FlowId id : dirty_scan_) {
     Flow* flow = service_->flow_by_id(id);
     if (flow == nullptr || flow->cstate == ConnState::kFreed) {
       continue;
@@ -647,6 +607,18 @@ void SlowPath::ScanPending() {
         break;
       }
       case ConnState::kFinWait1:
+        if (flow.fin_acked) {
+          // Our FIN was acked, usually seen by the fast path since the last
+          // iteration: wait for the peer's FIN, or linger if it came already.
+          flow.cstate =
+              flow.cold().fin_received ? ConnState::kTimeWait : ConnState::kFinWait2;
+          if (flow.cstate == ConnState::kTimeWait) {
+            flow.cold().timewait_start = now;
+          }
+          TraceState(id, flow);
+          break;
+        }
+        [[fallthrough]];
       case ConnState::kLastAck: {
         const TimeNs rto = config.handshake_rto << std::min(flow.cold().ctrl_retries, 6);
         if (now - flow.cold().last_ctrl_send >= rto) {

@@ -66,9 +66,6 @@ class SlowPath {
   // NotifyClosed when the flow is released.
   void NotifyRemoteClosed(Flow& flow);
   void NotifyClosed(Flow& flow);
-  // Delivers in-order payload that reached the slow path after our FIN
-  // (kFinWait1/kFinWait2: the peer half-closed side may still stream data).
-  void DeliverPayload(FlowId flow_id, Flow& flow, const Packet& pkt);
   void ReleaseFlow(FlowId flow_id, Flow& flow);
   void AddPending(FlowId flow_id, Flow& flow);
   void TrySendFin(FlowId flow_id, Flow& flow);
@@ -89,6 +86,7 @@ class SlowPath {
   std::unordered_map<uint16_t, Listener> listeners_;
   std::vector<FlowId> pending_;  // Flows in handshake or teardown.
   std::vector<FlowId> pending_keep_;  // ScanPending's survivors; swapped in.
+  std::vector<FlowId> dirty_scan_;    // ControlLoop's half of the dirty list.
   std::unique_ptr<PeriodicTask> cc_task_;
   std::unique_ptr<PeriodicTask> monitor_task_;
   std::vector<TimeNs> busy_snapshot_;
