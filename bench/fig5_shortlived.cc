@@ -8,9 +8,11 @@
 // amortizes the setup.
 //
 // Prints one CLAIM_JSON line and exits 1 when a checked part of the claim
-// flips: TAS below Linux at 1 message/connection, TAS above Linux at every
-// point from 16 on. The crossover itself (paper: 4) is a recorded waiver:
-// here TAS first wins at 16 (EXPERIMENTS.md, Fig 5 known deviation).
+// flips: TAS below Linux at 1 message/connection but not collapsed (at least
+// 0.25x Linux there), TAS above Linux at every point from 16 on. Two parts
+// are recorded waivers (EXPERIMENTS.md, Fig 5 known deviation): the
+// crossover (paper: 4; here TAS first wins at 16) and the ratio at 1
+// message/connection (paper: 0.77; here 0.31).
 #include <sstream>
 
 #include "bench/bench_common.h"
@@ -37,6 +39,11 @@ double RunPoint(StackKind kind, size_t messages_per_connection) {
 
 constexpr size_t kPaperCrossover = 4;
 constexpr size_t kWaivedCrossover = 16;  // First point where TAS wins here.
+// TAS/Linux at 1 message/connection: the paper's, the one measured here, and
+// the floor below which the slow path counts as collapsed under the SYN load.
+constexpr double kPaperRatioAt1 = 0.77;
+constexpr double kMeasuredRatioAt1 = 0.31;
+constexpr double kNoCollapseFloor = 0.25;
 
 int Run() {
   PrintHeader("Fig 5: throughput with short-lived connections",
@@ -49,6 +56,7 @@ int Run() {
   std::ostringstream ratios;
   size_t crossover = 0;  // First point where TAS wins; 0 = never.
   bool loses_at_1 = false;
+  bool no_collapse_at_1 = false;
   bool wins_from_waived = true;
   for (size_t m : messages) {
     const double tas = RunPoint(StackKind::kTas, m);
@@ -62,6 +70,7 @@ int Run() {
     }
     if (m == 1) {
       loses_at_1 = ratio < 1;
+      no_collapse_at_1 = ratio >= kNoCollapseFloor;
     }
     if (m >= kWaivedCrossover && !(ratio > 1)) {
       wins_from_waived = false;
@@ -70,13 +79,16 @@ int Run() {
   table.Print();
   std::cout << "\nPaper: TAS overtakes Linux at >= 4 RPCs per connection and reaches 95%\n"
                "bandwidth utilization at 256 RPCs per connection.\n";
-  const bool pass = loses_at_1 && wins_from_waived;
+  const bool pass = loses_at_1 && no_collapse_at_1 && wins_from_waived;
   std::cout << "CLAIM_JSON {\"bench\":\"fig5_shortlived\",\"tas_over_linux\":{" << ratios.str()
             << "},\"crossover\":" << crossover << ",\"claims\":{\"tas_loses_at_1\":"
-            << (loses_at_1 ? "true" : "false") << ",\"tas_wins_from_" << kWaivedCrossover
-            << "\":" << (wins_from_waived ? "true" : "false")
+            << (loses_at_1 ? "true" : "false")
+            << ",\"tas_no_collapse_at_1\":" << (no_collapse_at_1 ? "true" : "false")
+            << ",\"tas_wins_from_" << kWaivedCrossover << "\":" << (wins_from_waived ? "true" : "false")
             << "},\"waivers\":{\"crossover\":{\"paper\":" << kPaperCrossover
-            << ",\"accepted\":" << kWaivedCrossover << "}},\"pass\":" << (pass ? "true" : "false")
+            << ",\"accepted\":" << kWaivedCrossover << "},\"ratio_at_1\":{\"paper\":"
+            << kPaperRatioAt1 << ",\"measured\":" << kMeasuredRatioAt1
+            << ",\"floor\":" << kNoCollapseFloor << "}},\"pass\":" << (pass ? "true" : "false")
             << "}\n";
   return pass ? 0 : 1;
 }

@@ -12,6 +12,26 @@ namespace {
 
 uint32_t NowUs(Simulator* sim) { return static_cast<uint32_t>(sim->Now() / kNsPerUs); }
 
+// Payload the flow's next segment may carry: queued TX data, capped by the
+// MSS, the peer's receive window and (in window mode) the congestion window.
+uint32_t NextSegmentLen(const Flow& flow) {
+  const FlowState& fs = flow.fs;
+  const uint64_t peer_window = PeerWindowBytes(fs);
+  uint64_t allow = peer_window > fs.tx_sent ? peer_window - fs.tx_sent : 0;
+  if (flow.cc_window > 0) {
+    // Window-mode enforcement: in-flight bytes bounded by the slow path's
+    // congestion window.
+    const uint64_t cc_allow = flow.cc_window > fs.tx_sent ? flow.cc_window - fs.tx_sent : 0;
+    allow = std::min(allow, cc_allow);
+  }
+  return static_cast<uint32_t>(std::min<uint64_t>({flow.TxAvailable(), flow.mss, allow}));
+}
+
+// Time until a bucket holding `tokens` bytes of credit refills to `len`.
+TimeNs RefillWait(const Flow& flow, double tokens, uint32_t len) {
+  return static_cast<TimeNs>((static_cast<double>(len) - tokens) * 8e9 / flow.rate_bps) + 1;
+}
+
 }  // namespace
 
 FastPathCore::FastPathCore(TasService* service, Core* cpu, int index)
@@ -183,7 +203,7 @@ void FastPathCore::ProcessPacket(PacketPtr pkt) {
       lt->Abandon(pkt->lat_id);
       pkt->lat_id = 0;
     }
-    service_->slow_path()->EnqueueException(std::move(pkt));
+    service_->slow_path()->EnqueueException(std::move(pkt), flow != nullptr);
     return;
   }
 
@@ -444,34 +464,20 @@ void FastPathCore::ProcessFlowTx(FlowId flow_id, TimeNs enqueued_at) {
     return;  // Not ours, or our direction is closed.
   }
   FlowState& fs = flow->fs;
-  const uint32_t avail = flow->TxAvailable();
-  if (avail == 0) {
-    return;
-  }
-  const uint64_t peer_window = PeerWindowBytes(fs);
-  uint64_t allow = peer_window > fs.tx_sent ? peer_window - fs.tx_sent : 0;
-  if (flow->cc_window > 0) {
-    // Window-mode enforcement: in-flight bytes bounded by the slow path's
-    // congestion window.
-    const uint64_t cc_allow =
-        flow->cc_window > fs.tx_sent ? flow->cc_window - fs.tx_sent : 0;
-    allow = std::min(allow, cc_allow);
-  }
-  const uint32_t len =
-      static_cast<uint32_t>(std::min<uint64_t>({avail, flow->mss, allow}));
+  const uint32_t len = NextSegmentLen(*flow);
   if (len == 0) {
-    return;  // Window full; the next ACK re-schedules us.
+    return;  // Nothing queued, or window full; the next ACK re-schedules us.
   }
 
   // Rate enforcement: the per-flow bucket must hold credit for the segment.
+  // A send schedules the next one for its refill time (below), so this is
+  // the fallback for a rate cut since then or an early retransmission kick.
   const TimeNs now = service_->sim()->Now();
   const double burst = 2.0 * flow->mss;
   const double tokens = flow->RefillTokens(now, std::max<double>(burst, len));
   if (tokens < len) {
     // Not enough credit: retry when the bucket refills.
-    const TimeNs wait =
-        static_cast<TimeNs>((static_cast<double>(len) - tokens) * 8e9 / flow->rate_bps) + 1;
-    flow->next_tx_time = now + wait;
+    flow->next_tx_time = now + RefillWait(*flow, tokens, len);
     service_->ScheduleFlowTx(flow_id, flow->next_tx_time);
     return;
   }
@@ -487,9 +493,15 @@ void FastPathCore::ProcessFlowTx(FlowId flow_id, TimeNs enqueued_at) {
   service_->flow_trace().Record(now, flow_id, FlowEventType::kDataTx, wire_seq, len,
                                 fs.tx_sent);
   service_->MarkFlowDirty(flow_id);
+  // Pace the next segment: queue it for when the bucket holds its credit. A
+  // TX item that finds the bucket short costs a full TX charge for nothing.
   flow->next_tx_time = now;
   if (flow->TxAvailable() > 0) {
-    service_->ScheduleFlowTx(flow_id, now);
+    const uint32_t next_len = NextSegmentLen(*flow);
+    if (flow->tx_tokens < next_len) {
+      flow->next_tx_time = now + RefillWait(*flow, flow->tx_tokens, next_len);
+    }
+    service_->ScheduleFlowTx(flow_id, flow->next_tx_time);
   }
 }
 

@@ -45,22 +45,35 @@ void SlowPath::Start() {
   }
 }
 
-void SlowPath::EnqueueException(PacketPtr pkt) {
-  exceptions_.push_back(std::move(pkt));
-  if (exceptions_.size() > exception_depth_hw_) {
-    exception_depth_hw_ = exceptions_.size();
-  }
+void SlowPath::EnqueueException(PacketPtr pkt, bool known_flow) {
+  (known_flow ? known_exceptions_ : new_exceptions_).push_back(std::move(pkt));
+  exception_depth_hw_ = std::max<uint64_t>(exception_depth_hw_, exception_depth());
   MaybeProcess();
 }
 
 void SlowPath::MaybeProcess() {
-  if (busy_ || exceptions_.empty()) {
+  if (busy_ || exception_depth() == 0) {
     return;
   }
-  PacketPtr pkt = std::move(exceptions_.front());
-  exceptions_.pop_front();
-  const TimeNs done = cpu_->Charge(CpuModule::kTcp, kExceptionCycles);
+  // Reserve the exception's slot on the core now, in charge order, but pick
+  // the packet when the slot starts: after the core has worked off earlier
+  // charges such as the last exception's connection setup, so a known-flow
+  // segment that arrives meanwhile still goes ahead of queued SYNs.
   busy_ = true;
+  Simulator* sim = service_->sim();
+  const TimeNs start = std::max(sim->Now(), cpu_->busy_until());
+  const TimeNs done = cpu_->Charge(CpuModule::kTcp, kExceptionCycles);
+  if (start > sim->Now()) {
+    sim->At(start, [this, done] { ServeNext(done); });
+    return;
+  }
+  ServeNext(done);
+}
+
+void SlowPath::ServeNext(TimeNs done) {
+  std::deque<PacketPtr>& queue = known_exceptions_.empty() ? new_exceptions_ : known_exceptions_;
+  PacketPtr pkt = std::move(queue.front());
+  queue.pop_front();
   service_->sim()->At(done, [this, pkt = std::move(pkt)]() mutable {
     busy_ = false;
     HandleException(std::move(pkt));

@@ -27,12 +27,18 @@ class SlowPath {
   Core* cpu() { return cpu_; }
 
   // --- Fast path hand-off ----------------------------------------------------
-  void EnqueueException(PacketPtr pkt);
+  // `known_flow`: the fast path's flow lookup found the segment's flow.
+  // Exceptions are served in two classes by one dispatcher: segments of
+  // flows the host already holds first, new SYNs and segments for unknown
+  // flows only when no known-flow segment waits. A SYN burst or a flood of
+  // stale segments then delays only new admissions, never the handshakes
+  // and teardowns of admitted connections.
+  void EnqueueException(PacketPtr pkt, bool known_flow);
 
-  // Exception-queue depth right now, and the deepest it has ever been. The
-  // watchdog's slow-path overload SLO reads the depth each check; the
-  // high-water mark lands in diagnostic bundles.
-  size_t exception_depth() const { return exceptions_.size(); }
+  // Exception-queue depth right now (both classes), and the deepest it has
+  // ever been. The watchdog's slow-path overload SLO reads the depth each
+  // check; the high-water mark lands in diagnostic bundles.
+  size_t exception_depth() const { return known_exceptions_.size() + new_exceptions_.size(); }
   uint64_t exception_depth_hw() const { return exception_depth_hw_; }
 
   // --- Commands from libTAS (via TasService) ---------------------------------
@@ -48,7 +54,11 @@ class SlowPath {
     uint16_t context = 0;
   };
 
+  // The exception dispatcher: MaybeProcess reserves the next exception's
+  // slot on the core; ServeNext picks its packet (known flows first) when
+  // the slot starts and handles it when the slot ends at `done`.
   void MaybeProcess();
+  void ServeNext(TimeNs done);
   void HandleException(PacketPtr pkt);
   void HandleSyn(const Packet& pkt);
   // Returns true if the packet should be re-injected into the fast path
@@ -80,7 +90,8 @@ class SlowPath {
 
   TasService* service_;
   Core* cpu_;
-  std::deque<PacketPtr> exceptions_;
+  std::deque<PacketPtr> known_exceptions_;  // Segments of flows we hold.
+  std::deque<PacketPtr> new_exceptions_;    // New SYNs, unknown flows.
   uint64_t exception_depth_hw_ = 0;
   bool busy_ = false;
   std::unordered_map<uint16_t, Listener> listeners_;
