@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,7 @@ namespace {
 
 // TAS_LATENCY=1 enables per-packet stage stamping on the TAS server and
 // emits a second machine-readable line (PERF_LATENCY_JSON) with the
-// per-stage percentile report; bench/latency_gate.cc compares it against
+// per-stage percentile report; bench/bench_gate compares it against
 // bench/baselines/perf_smoke_latency.json in CI. All values are sim-time
 // derived, so the report is deterministic for a given seed and scale.
 bool LatencyEnabled() {
@@ -78,7 +79,7 @@ struct SmokeResult {
   size_t max_pending = 0;
   size_t event_nodes = 0;
   PacketPoolStats pool;
-  std::string latency_json;  // Empty unless TAS_LATENCY is set.
+  std::optional<LatencyReport> latency;  // Set only when TAS_LATENCY is on.
   uint64_t watchdog_triggers = 0;  // Armed runs only.
   uint64_t recorder_records = 0;   // Records retained across all streams.
 };
@@ -166,7 +167,7 @@ SmokeResult RunSmoke(bool armed = false) {
   result.event_nodes = exp->sim().event_nodes_total();
   result.pool = exp->pool_stats();
   if (LatencyEnabled()) {
-    result.latency_json = exp->host(0).tas()->tracer().latency().Report().ToJson();
+    result.latency = exp->host(0).tas()->tracer().latency().Report();
   }
   if (armed) {
     FlightRecorder* recorder = exp->host(0).tas()->owned_recorder();
@@ -285,10 +286,9 @@ int Run() {
             << ",\"recorder_overhead_wall\":" << recorder_overhead
             << ",\"armed_wall_sec\":" << armed.wall_sec << "}" << std::endl;
 
-  if (!r.latency_json.empty()) {
-    const LatencyReport report = ParseLatencyReportJson(r.latency_json);
-    std::cout << "\n" << report.ToTable();
-    std::cout << "PERF_LATENCY_JSON " << r.latency_json << std::endl;
+  if (r.latency) {
+    std::cout << "\n" << r.latency->ToTable();
+    std::cout << "PERF_LATENCY_JSON " << r.latency->ToJson() << std::endl;
   }
   if (!gate_failures.empty()) {
     for (const std::string& f : gate_failures) {

@@ -466,7 +466,7 @@ int Run() {
   std::cout << json.str() << std::endl;
 
   // The alpha=0.9 per-class critical-path report on its own line: CI archives
-  // it and critical_path_gate compares it against the checked-in baseline.
+  // it and bench_gate compares it against the checked-in baseline.
   std::cout << "PROXY_CRITPATH_JSON " << churn[1].critpath_json << std::endl;
 
   if (!failures.empty()) {

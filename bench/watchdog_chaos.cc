@@ -19,9 +19,9 @@
 // Emits one WATCHDOG_CHAOS_JSON line; CI archives the bundle files written
 // under argv[1] (default "watchdog_chaos") as artifacts.
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +30,7 @@
 #include "src/fault/injector.h"
 #include "src/tas/watchdog.h"
 #include "src/trace/flight_recorder.h"
+#include "src/util/json.h"
 
 namespace tas {
 namespace bench {
@@ -182,24 +183,6 @@ ChaosResult RunScenario(const std::string& prefix, bool inject_fault) {
   return r;
 }
 
-// Scans the bundle JSONL for records of `type` and returns their timestamps.
-std::vector<TimeNs> RecordTimes(const std::string& jsonl, const std::string& type) {
-  std::vector<TimeNs> times;
-  std::istringstream in(jsonl);
-  std::string line;
-  const std::string needle = "\"type\":\"" + type + "\"";
-  while (std::getline(in, line)) {
-    if (line.find(needle) == std::string::npos) {
-      continue;
-    }
-    const size_t pos = line.find("\"t\":");
-    if (pos != std::string::npos) {
-      times.push_back(std::strtoll(line.c_str() + pos + 4, nullptr, 10));
-    }
-  }
-  return times;
-}
-
 int Run(int argc, char** argv) {
   PrintHeader("watchdog_chaos: SLO watchdog vs an injected total-loss window",
               "DESIGN.md §15 flight recorder, chaos-suite fault classes");
@@ -236,15 +219,28 @@ int Run(int argc, char** argv) {
     }
     // The window's flow events must contain the RTO firings the fault caused,
     // timestamped inside the evidence window.
-    const std::vector<TimeNs> rto = RecordTimes(faulted.bundle_jsonl, "timeout_retransmit");
-    if (rto.empty()) {
+    size_t rto_records = 0;
+    bool rto_outside = false;
+    bool malformed = false;
+    std::istringstream lines(faulted.bundle_jsonl);
+    for (std::string line; std::getline(lines, line);) {
+      const std::optional<JsonValue> record = ParseJson(line);
+      malformed = malformed || !record;
+      const std::string* type = record ? record->FindString("type") : nullptr;
+      if (type != nullptr && *type == "timeout_retransmit") {
+        const double at = record->FindNumber("t").value_or(-1);
+        ++rto_records;
+        rto_outside = rto_outside || at < t.window_from || at > t.window_to;
+      }
+    }
+    if (malformed) {
+      Fail(failures, "bundle .jsonl holds a line that is not one JSON object");
+    }
+    if (rto_records == 0) {
       Fail(failures, "bundle .jsonl has no timeout_retransmit evidence records");
     }
-    for (const TimeNs at : rto) {
-      if (at < t.window_from || at > t.window_to) {
-        Fail(failures, "bundle record timestamp outside the evidence window");
-        break;
-      }
+    if (rto_outside) {
+      Fail(failures, "bundle record timestamp outside the evidence window");
     }
     if (faulted.bundle_perfetto.find("\"slo-trigger\"") == std::string::npos) {
       Fail(failures, "bundle .perfetto.json lacks the trigger evidence span");

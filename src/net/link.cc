@@ -40,13 +40,7 @@ Link::Link(Simulator* sim, const LinkConfig& config)
   explicit_seed_ = config.rng_seed != 0;
   base_seed_ = explicit_seed_ ? config.rng_seed : 0xC0FFEEull;
   ReseedDirections();
-  for (int side = 0; side < 2; ++side) {
-    Direction& d = dir_[side];
-    // The legacy drop_rate shim goes first so its rng draws match the
-    // pre-impairment implementation packet for packet.
-    if (config_.drop_rate > 0) {
-      d.legacy_bernoulli = d.pipeline.Add(BernoulliLoss(config_.drop_rate));
-    }
+  for (Direction& d : dir_) {
     d.pipeline.AddAll(config_.faults);
   }
 }
@@ -65,19 +59,6 @@ void Link::MixDefaultSeed(uint64_t identity) {
   }
   base_seed_ ^= MixIdentity(identity);
   ReseedDirections();
-}
-
-void Link::set_drop_rate(double rate) {
-  config_.drop_rate = rate;
-  for (Direction& d : dir_) {
-    if (d.legacy_bernoulli != nullptr) {
-      d.pipeline.Remove(d.legacy_bernoulli);
-      d.legacy_bernoulli = nullptr;
-    }
-    if (rate > 0) {
-      d.legacy_bernoulli = d.pipeline.Add(BernoulliLoss(rate));
-    }
-  }
 }
 
 void Link::Attach(int side, NetDevice* device) {

@@ -1,16 +1,9 @@
 #include "src/net/packet_pool.h"
 
-#include <cstdlib>
-
 #include "src/util/logging.h"
 
 namespace tas {
 namespace {
-
-bool& PoolingFlag() {
-  static bool enabled = std::getenv("TAS_NO_POOL") == nullptr;
-  return enabled;
-}
 
 // Clears a recycled packet back to default state while keeping the payload
 // buffer's capacity (the whole point of pooling: the next tenant's resize
@@ -44,10 +37,6 @@ PacketPool::~PacketPool() {
 }
 
 PacketPtr PacketPool::Acquire() {
-  if (!PoolingEnabled()) {
-    ++unpooled_;
-    return PacketPtr(new Packet(), PacketDeleter(nullptr));
-  }
   Packet* pkt;
   if (free_.empty()) {
     pkt = new Packet();
@@ -87,7 +76,6 @@ PacketPoolStats PacketPool::stats() const {
   s.allocated = allocated_;
   s.reused = reused_;
   s.released = released_;
-  s.unpooled = unpooled_;
   s.free_size = free_.size();
   s.outstanding = outstanding();
   return s;
@@ -97,7 +85,6 @@ void PacketPool::RegisterMetrics(MetricRegistry* registry, const std::string& pr
   registry->AddCounter(prefix + ".allocated", &allocated_);
   registry->AddCounter(prefix + ".reused", &reused_);
   registry->AddCounter(prefix + ".released", &released_);
-  registry->AddCounter(prefix + ".unpooled", &unpooled_);
   registry->AddGauge(prefix + ".free",
                      [this] { return static_cast<double>(free_.size()); });
   registry->AddGauge(prefix + ".outstanding",
@@ -121,9 +108,5 @@ PacketPool* PacketPool::Install(PacketPool* pool) {
   g_installed_pool = pool;
   return previous;
 }
-
-bool PacketPool::PoolingEnabled() { return PoolingFlag(); }
-
-void PacketPool::SetPoolingEnabled(bool enabled) { PoolingFlag() = enabled; }
 
 }  // namespace tas

@@ -7,11 +7,9 @@
 // payload buffers retain their capacity, so steady-state traffic allocates
 // nothing. PacketPtr's deleter routes destruction back here from anywhere —
 // including event closures destroyed at simulator teardown, which is what
-// keeps LeakSanitizer clean with packets in flight.
-//
-// Set TAS_NO_POOL=1 (or PacketPool::SetPoolingEnabled(false)) to fall back
-// to plain new/delete; same-seed runs are byte-identical either way (the
-// pool only changes where packets live, never what the simulation does).
+// keeps LeakSanitizer clean with packets in flight. The pool only changes
+// where packets live, never what the simulation does: a run that draws
+// recycled packets is byte-identical to one that allocates fresh ones.
 #ifndef SRC_NET_PACKET_POOL_H_
 #define SRC_NET_PACKET_POOL_H_
 
@@ -29,7 +27,6 @@ struct PacketPoolStats {
   uint64_t allocated = 0;  // Fresh heap packets created through the pool.
   uint64_t reused = 0;     // Acquires served from the free list.
   uint64_t released = 0;   // Packets handed back (kept or, past cap, freed).
-  uint64_t unpooled = 0;   // Acquires that bypassed pooling (TAS_NO_POOL).
   size_t free_size = 0;    // Free-list occupancy right now.
   size_t outstanding = 0;  // Pool-owned packets currently live.
 };
@@ -46,8 +43,7 @@ class PacketPool {
   PacketPool& operator=(const PacketPool&) = delete;
 
   // Returns a packet with default-initialized headers and an empty payload
-  // whose buffer keeps its previous capacity. Falls back to plain new (null
-  // pool deleter) when pooling is disabled.
+  // whose buffer keeps its previous capacity.
   PacketPtr Acquire();
 
   // Pooled copy of `src` (headers, payload bytes, simulation metadata).
@@ -77,18 +73,12 @@ class PacketPool {
   // previous install drain correctly regardless.
   static PacketPool* Install(PacketPool* pool);
 
-  // Escape hatch (TAS_NO_POOL=1 env or runtime toggle): future Acquires
-  // bypass the free list. Outstanding pooled packets are unaffected.
-  static bool PoolingEnabled();
-  static void SetPoolingEnabled(bool enabled);
-
  private:
   std::vector<Packet*> free_;
   size_t max_free_;
   uint64_t allocated_ = 0;
   uint64_t reused_ = 0;
   uint64_t released_ = 0;
-  uint64_t unpooled_ = 0;
 };
 
 }  // namespace tas

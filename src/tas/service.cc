@@ -457,11 +457,6 @@ void TasService::Close(FlowId flow_id) { slow_path_->CmdClose(flow_id); }
 
 Flow* TasService::GetFlow(FlowId flow_id) { return flow_by_id(flow_id); }
 
-Flow* TasService::LookupFlow(const FlowKey& key) {
-  const FlowId id = LookupFlowId(key);
-  return id == kInvalidFlow ? nullptr : flow_by_id(id);
-}
-
 FlowId TasService::LookupFlowId(const FlowKey& key) { return flow_table_.Find(key); }
 
 FlowId TasService::AllocateFlow(const FlowKey& key) {

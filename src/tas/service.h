@@ -167,7 +167,6 @@ class TasService {
   // --- Internal API shared by fast path / slow path / libtas ----------------
   AppContext* context(uint16_t id) { return contexts_[id]; }
   uint16_t num_contexts() const { return static_cast<uint16_t>(contexts_.size()); }
-  Flow* LookupFlow(const FlowKey& key);
   FlowId LookupFlowId(const FlowKey& key);
   // Read-only view of the lookup structure (bench occupancy/probe reports).
   const FlowTable& flow_table() const { return flow_table_; }

@@ -216,8 +216,6 @@ class TcpConnection {
   bool destroying_ = false;
 };
 
-const char* TcpStateName(TcpConnection::State state);
-
 }  // namespace tas
 
 #endif  // SRC_TCP_ENGINE_H_

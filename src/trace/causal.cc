@@ -1,7 +1,6 @@
 #include "src/trace/causal.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -167,7 +166,6 @@ CausalTracer::CausalTracer(size_t trace_capacity, size_t exemplars_per_class)
     cap <<= 1;
   }
   mask_ = cap - 1;
-  ring_.resize(cap);
 }
 
 CausalTracer* CausalTracer::Install(CausalTracer* tracer) {
@@ -177,6 +175,9 @@ CausalTracer* CausalTracer::Install(CausalTracer* tracer) {
 }
 
 uint64_t CausalTracer::BeginTrace(TimeNs start) {
+  if (ring_.empty()) {
+    ring_.resize(mask_ + 1);
+  }
   const uint64_t id = next_trace_id_++;
   TraceRec& r = ring_[id & mask_];
   if (r.id != 0) {
@@ -196,6 +197,10 @@ uint64_t CausalTracer::BeginTrace(TimeNs start) {
 
 CausalTracer::TraceRec* CausalTracer::Slot(uint64_t id) {
   if (id == 0) {
+    return nullptr;
+  }
+  if (ring_.empty()) {
+    ++stale_;  // Never begun: every id belongs to another tracer.
     return nullptr;
   }
   TraceRec& r = ring_[id & mask_];
@@ -347,7 +352,7 @@ void CausalTracer::MaybeRetainExemplar(const TraceRec& rec, TimeNs end) {
 }
 
 void CausalTracer::Abandon(uint64_t trace) {
-  if (trace == 0) {
+  if (trace == 0 || ring_.empty()) {
     return;
   }
   TraceRec& r = ring_[trace & mask_];
@@ -357,8 +362,6 @@ void CausalTracer::Abandon(uint64_t trace) {
   r.id = 0;
   ++abandoned_;
 }
-
-void CausalTracer::Clear() { *this = CausalTracer(ring_.size(), exemplars_per_class_); }
 
 namespace {
 
@@ -489,165 +492,6 @@ std::string CriticalPathReport::ToTable() const {
     }
   }
   return os.str();
-}
-
-namespace {
-
-// Minimal scanner for the exact shape ToJson emits (latency.cc idiom, with
-// one nesting level: class objects contain flat edge objects).
-size_t FindValue(const std::string& text, size_t from, size_t to, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = text.find(needle, from);
-  if (pos == std::string::npos || pos >= to) {
-    return std::string::npos;
-  }
-  return pos + needle.size();
-}
-
-double NumberAt(const std::string& text, size_t from, size_t to, const std::string& key,
-                bool* ok) {
-  const size_t pos = FindValue(text, from, to, key);
-  if (pos == std::string::npos) {
-    *ok = false;
-    return 0;
-  }
-  return std::strtod(text.c_str() + pos, nullptr);
-}
-
-std::string StringAt(const std::string& text, size_t from, size_t to,
-                     const std::string& key, bool* ok) {
-  size_t pos = FindValue(text, from, to, key);
-  if (pos == std::string::npos || pos >= text.size() || text[pos] != '"') {
-    *ok = false;
-    return "";
-  }
-  ++pos;
-  const size_t end = text.find('"', pos);
-  if (end == std::string::npos || end > to) {
-    *ok = false;
-    return "";
-  }
-  return text.substr(pos, end - pos);
-}
-
-}  // namespace
-
-CriticalPathReport ParseCriticalPathReportJson(const std::string& json, bool* ok) {
-  bool good = true;
-  CriticalPathReport report;
-  const size_t classes_pos = json.find("\"classes\":[");
-  if (classes_pos == std::string::npos) {
-    if (ok != nullptr) {
-      *ok = false;
-    }
-    return CriticalPathReport{};
-  }
-  report.completed =
-      static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "completed", &good));
-  report.abandoned =
-      static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "abandoned", &good));
-  report.dropped = static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "dropped", &good));
-  report.stale = static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "stale", &good));
-  report.truncated =
-      static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "truncated", &good));
-  report.mismatches =
-      static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "mismatches", &good));
-
-  // Class blocks are delimited by their "request_class" keys; edge objects
-  // inside each block are flat.
-  size_t class_pos = json.find("\"request_class\":", classes_pos);
-  while (good && class_pos != std::string::npos) {
-    const size_t next_class = json.find("\"request_class\":", class_pos + 1);
-    const size_t block_end = next_class != std::string::npos ? next_class : json.size();
-    CriticalPathClassSummary cs;
-    cs.request_class = StringAt(json, class_pos, block_end, "request_class", &good);
-    cs.count = static_cast<uint64_t>(NumberAt(json, class_pos, block_end, "count", &good));
-    const size_t edges_pos = FindValue(json, class_pos, block_end, "edges");
-    if (edges_pos == std::string::npos) {
-      good = false;
-      break;
-    }
-    size_t pos = edges_pos;
-    while (good) {
-      const size_t open = json.find('{', pos);
-      const size_t close = json.find('}', open);
-      if (open == std::string::npos || close == std::string::npos || open >= block_end) {
-        break;
-      }
-      const size_t bracket = json.find(']', pos);
-      if (bracket != std::string::npos && bracket < open) {
-        break;  // End of this class's edges array.
-      }
-      CriticalPathEdgeSummary e;
-      e.edge = StringAt(json, open, close, "edge", &good);
-      e.cls = StringAt(json, open, close, "class", &good);
-      e.count = static_cast<uint64_t>(NumberAt(json, open, close, "count", &good));
-      e.mean_ns = NumberAt(json, open, close, "mean_ns", &good);
-      e.max_ns = NumberAt(json, open, close, "max_ns", &good);
-      e.p50_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p50_ns", &good));
-      e.p90_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p90_ns", &good));
-      e.p99_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p99_ns", &good));
-      e.p999_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p999_ns", &good));
-      e.share = NumberAt(json, open, close, "share", &good);
-      if (good) {
-        cs.edges.push_back(std::move(e));
-      }
-      pos = close + 1;
-    }
-    if (good && !cs.edges.empty()) {
-      report.classes.push_back(std::move(cs));
-    } else if (good) {
-      good = false;
-    }
-    class_pos = next_class;
-  }
-  if (report.classes.empty()) {
-    good = false;
-  }
-  if (ok != nullptr) {
-    *ok = good;
-  }
-  return good ? report : CriticalPathReport{};
-}
-
-std::vector<CriticalPathRegression> CompareCriticalPathReports(
-    const CriticalPathReport& baseline, const CriticalPathReport& current, double tolerance,
-    uint64_t min_count) {
-  std::vector<CriticalPathRegression> violations;
-  for (const CriticalPathClassSummary& base_cls : baseline.classes) {
-    if (base_cls.count < min_count) {
-      continue;  // Too few samples to gate on.
-    }
-    const CriticalPathClassSummary* cur_cls = current.Find(base_cls.request_class);
-    if (cur_cls == nullptr) {
-      violations.push_back(CriticalPathRegression{base_cls.request_class, "e2e", "count",
-                                                  static_cast<double>(base_cls.count), 0, 0});
-      continue;
-    }
-    const auto check = [&](const CriticalPathEdgeSummary& base, const char* metric,
-                           double base_v, double cur_v) {
-      if (base_v <= 0) {
-        return;
-      }
-      if (cur_v > base_v * (1.0 + tolerance)) {
-        violations.push_back(CriticalPathRegression{base_cls.request_class, base.edge, metric,
-                                                    base_v, cur_v, cur_v / base_v});
-      }
-    };
-    for (const CriticalPathEdgeSummary& base : base_cls.edges) {
-      if (base.count < min_count) {
-        continue;
-      }
-      const CriticalPathEdgeSummary* cur = cur_cls->Find(base.edge);
-      if (cur == nullptr) {
-        continue;  // Edge vanished from the path — strictly an improvement.
-      }
-      check(base, "mean_ns", base.mean_ns, cur->mean_ns);
-      check(base, "p99_ns", static_cast<double>(base.p99_ns),
-            static_cast<double>(cur->p99_ns));
-    }
-  }
-  return violations;
 }
 
 }  // namespace tas

@@ -14,7 +14,8 @@
 // end-to-end time (`critical_path_mismatches` counts violations, mirroring
 // PR 5's partition invariant).
 //
-// Records live in a ring keyed by `trace_id & mask` with stale-id rejection,
+// Records live in a ring keyed by `trace_id & mask` with stale-id rejection
+// (allocated by the first BeginTrace, so an unused tracer holds none),
 // reached through the process-wide Install/Current pattern (first
 // causal-enabled TAS host installs its tracer; requests cross hosts, so one
 // tracer observes the whole path). A null Current() costs each
@@ -182,34 +183,11 @@ struct CriticalPathReport {
 
   const CriticalPathClassSummary* Find(const std::string& request_class) const;
   // Single-line JSON (the PROXY_CRITPATH_JSON payload and the
-  // <prefix>.critical_path.json file format).
+  // <prefix>.critical_path.json file format; bench_gate reads it back).
   std::string ToJson() const;
   // Fixed-width text table for terminal output.
   std::string ToTable() const;
 };
-
-// Parses a report previously produced by CriticalPathReport::ToJson. Sets
-// *ok to false (and returns an empty report) on malformed input.
-CriticalPathReport ParseCriticalPathReportJson(const std::string& json, bool* ok = nullptr);
-
-// One comparator violation: `metric` of (`request_class`, `edge`) regressed.
-struct CriticalPathRegression {
-  std::string request_class;
-  std::string edge;
-  std::string metric;  // "mean_ns" or "p99_ns".
-  double baseline = 0;
-  double current = 0;
-  double ratio = 0;  // current / baseline.
-};
-
-// CI gate: flags (class, edge) rows — including "e2e" — whose mean or p99
-// grew beyond baseline * (1 + tolerance). Rows with fewer than `min_count`
-// baseline samples are skipped; improvements always pass. A class present in
-// the baseline but absent from `current` is itself a violation (the workload
-// lost a whole request class).
-std::vector<CriticalPathRegression> CompareCriticalPathReports(
-    const CriticalPathReport& baseline, const CriticalPathReport& current, double tolerance,
-    uint64_t min_count = 50);
 
 // --- Tracer -----------------------------------------------------------------
 
@@ -260,6 +238,8 @@ class CausalTracer {
   // Finished traces whose mark chain failed to partition end-to-end time, or
   // that never got a class — 0 unless a stamp site regresses.
   uint64_t critical_path_mismatches() const { return critical_path_mismatches_; }
+  // Bytes of ring storage held: 0 until the first BeginTrace.
+  size_t ring_bytes() const { return ring_.capacity() * sizeof(TraceRec); }
 
   const LogHistogram& edge_hist(RequestClass cls, CausalEdge edge) const {
     return edge_hist_[Idx(cls, edge)];
@@ -279,7 +259,6 @@ class CausalTracer {
   }
 
   CriticalPathReport Report() const;
-  void Clear();
 
  private:
   // Per-trace caps: a request touches a handful of spans/marks; re-dispatch

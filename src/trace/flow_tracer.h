@@ -7,6 +7,8 @@
 //
 // Tracing is off by default. It can be enabled for every flow (global) or
 // per flow id; the disabled-path cost is one inline branch per call site.
+// The ring is allocated by the first recorded event, so a host that never
+// traces holds no ring storage.
 #ifndef SRC_TRACE_FLOW_TRACER_H_
 #define SRC_TRACE_FLOW_TRACER_H_
 
@@ -70,13 +72,11 @@ class FlowTracer {
   bool global() const { return global_; }
   // Per-flow opt-in (effective when the global switch is off).
   void EnableFlow(uint64_t flow) { per_flow_.insert(flow); }
-  void DisableFlow(uint64_t flow) { per_flow_.erase(flow); }
 
   // Forward every event to the process-wide FlightRecorder (flight_recorder.h)
   // in addition to (and independent of) this tracer's own ring. The recorder
   // tap sees all flows even when neither global nor per-flow tracing is on.
   void SetRecorderTap(bool enabled) { recorder_tap_ = enabled; }
-  bool recorder_tap() const { return recorder_tap_; }
 
   // True if any Record call could store something — call sites may use this
   // to skip argument marshalling, but Record itself is safe to call always.
@@ -96,7 +96,9 @@ class FlowTracer {
   // Records currently retained, oldest first (ring order).
   std::vector<FlowEvent> Events() const;
   size_t size() const { return size_; }
-  size_t capacity() const { return ring_.size(); }
+  size_t capacity() const { return capacity_; }
+  // Bytes of ring storage held: 0 until the first recorded event.
+  size_t ring_bytes() const { return ring_.capacity() * sizeof(FlowEvent); }
   uint64_t recorded() const { return recorded_; }
   // Records overwritten because the ring wrapped.
   uint64_t overwritten() const { return recorded_ - size_; }
@@ -106,7 +108,6 @@ class FlowTracer {
   uint64_t overwritten_by_type(FlowEventType type) const {
     return overwritten_by_type_[static_cast<size_t>(type)];
   }
-  void Clear();
 
   // One JSON object per line, typed arg names:
   //   {"t":1234,"flow":0,"type":"data_tx","seq":17,"len":1448,"tx_sent":2896}
@@ -116,6 +117,7 @@ class FlowTracer {
   void RecordSlow(TimeNs t, uint64_t flow, FlowEventType type, uint64_t a, uint64_t b,
                   uint64_t c);
 
+  size_t capacity_;
   bool global_ = false;
   bool recorder_tap_ = false;
   std::unordered_set<uint64_t> per_flow_;

@@ -1,8 +1,5 @@
 #include "src/trace/latency.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -54,7 +51,6 @@ LatencyTracer::LatencyTracer(size_t ring_capacity) {
     cap <<= 1;
   }
   mask_ = cap - 1;
-  ring_.resize(cap);
 }
 
 LatencyTracer* LatencyTracer::Install(LatencyTracer* tracer) {
@@ -64,6 +60,9 @@ LatencyTracer* LatencyTracer::Install(LatencyTracer* tracer) {
 }
 
 uint64_t LatencyTracer::Begin(TimeNs start) {
+  if (ring_.empty()) {
+    ring_.resize(mask_ + 1);
+  }
   const uint64_t id = next_id_++;
   Record& r = ring_[id & mask_];
   if (r.id != 0) {
@@ -156,8 +155,6 @@ void LatencyTracer::Abandon(uint64_t id) {
   ++abandoned_;
 }
 
-void LatencyTracer::Clear() { *this = LatencyTracer(ring_.size()); }
-
 namespace {
 
 LatencyStageSummary Summarize(const std::string& name, const std::string& cls,
@@ -245,130 +242,6 @@ std::string LatencyReport::ToTable() const {
        << s.max_ns / 1000.0 << "\n";
   }
   return os.str();
-}
-
-namespace {
-
-// Minimal scanner for the exact flat shape ToJson emits. Finds `"key":` in
-// text[from, to) and returns the index just past the colon, or npos.
-size_t FindValue(const std::string& text, size_t from, size_t to, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = text.find(needle, from);
-  if (pos == std::string::npos || pos >= to) {
-    return std::string::npos;
-  }
-  return pos + needle.size();
-}
-
-double NumberAt(const std::string& text, size_t from, size_t to, const std::string& key,
-                bool* ok) {
-  const size_t pos = FindValue(text, from, to, key);
-  if (pos == std::string::npos) {
-    *ok = false;
-    return 0;
-  }
-  return std::strtod(text.c_str() + pos, nullptr);
-}
-
-std::string StringAt(const std::string& text, size_t from, size_t to,
-                     const std::string& key, bool* ok) {
-  size_t pos = FindValue(text, from, to, key);
-  if (pos == std::string::npos || pos >= text.size() || text[pos] != '"') {
-    *ok = false;
-    return "";
-  }
-  ++pos;
-  const size_t end = text.find('"', pos);
-  if (end == std::string::npos || end > to) {
-    *ok = false;
-    return "";
-  }
-  return text.substr(pos, end - pos);
-}
-
-}  // namespace
-
-LatencyReport ParseLatencyReportJson(const std::string& json, bool* ok) {
-  bool good = true;
-  LatencyReport report;
-  const size_t stages_pos = json.find("\"stages\":[");
-  if (stages_pos == std::string::npos) {
-    if (ok != nullptr) {
-      *ok = false;
-    }
-    return LatencyReport{};
-  }
-  report.completed =
-      static_cast<uint64_t>(NumberAt(json, 0, stages_pos, "completed", &good));
-  report.abandoned =
-      static_cast<uint64_t>(NumberAt(json, 0, stages_pos, "abandoned", &good));
-  report.overwritten =
-      static_cast<uint64_t>(NumberAt(json, 0, stages_pos, "overwritten", &good));
-  report.stale = static_cast<uint64_t>(NumberAt(json, 0, stages_pos, "stale", &good));
-
-  // Stage objects are flat (no nested braces): walk { ... } pairs.
-  size_t pos = stages_pos + 10;
-  while (good) {
-    const size_t open = json.find('{', pos);
-    const size_t close = json.find('}', open);
-    if (open == std::string::npos || close == std::string::npos) {
-      break;
-    }
-    // Stop at the array's closing bracket.
-    const size_t bracket = json.find(']', pos);
-    if (bracket != std::string::npos && bracket < open) {
-      break;
-    }
-    LatencyStageSummary s;
-    s.stage = StringAt(json, open, close, "stage", &good);
-    s.cls = StringAt(json, open, close, "class", &good);
-    s.count = static_cast<uint64_t>(NumberAt(json, open, close, "count", &good));
-    s.mean_ns = NumberAt(json, open, close, "mean_ns", &good);
-    s.max_ns = NumberAt(json, open, close, "max_ns", &good);
-    s.p50_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p50_ns", &good));
-    s.p90_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p90_ns", &good));
-    s.p99_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p99_ns", &good));
-    s.p999_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p999_ns", &good));
-    if (good) {
-      report.stages.push_back(std::move(s));
-    }
-    pos = close + 1;
-  }
-  if (report.stages.empty()) {
-    good = false;
-  }
-  if (ok != nullptr) {
-    *ok = good;
-  }
-  return good ? report : LatencyReport{};
-}
-
-std::vector<LatencyRegression> CompareLatencyReports(const LatencyReport& baseline,
-                                                     const LatencyReport& current,
-                                                     double tolerance,
-                                                     uint64_t min_count) {
-  std::vector<LatencyRegression> violations;
-  const auto check = [&](const LatencyStageSummary& base, const LatencyStageSummary* cur,
-                         const char* metric, double base_v, double cur_v) {
-    if (cur == nullptr || base_v <= 0) {
-      return;
-    }
-    if (cur_v > base_v * (1.0 + tolerance)) {
-      violations.push_back(LatencyRegression{base.stage, metric, base_v, cur_v,
-                                             cur_v / base_v});
-    }
-  };
-  for (const LatencyStageSummary& base : baseline.stages) {
-    if (base.count < min_count) {
-      continue;  // Too few samples to gate on.
-    }
-    const LatencyStageSummary* cur = current.Find(base.stage);
-    check(base, cur, "mean_ns", base.mean_ns,
-          cur != nullptr ? cur->mean_ns : 0);
-    check(base, cur, "p99_ns", static_cast<double>(base.p99_ns),
-          cur != nullptr ? static_cast<double>(cur->p99_ns) : 0);
-  }
-  return violations;
 }
 
 }  // namespace tas

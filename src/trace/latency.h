@@ -6,7 +6,9 @@
 // Records live in a side ring keyed by a generation id the packet carries
 // (Packet::lat_id), NOT in Packet itself: pooled packets stay small, and an
 // overflowing ring overwrites the oldest record without corrupting newer
-// ones (the id check rejects stale stamps). Stamp sites take the current
+// ones (the id check rejects stale stamps). The ring is allocated by the
+// first Begin, so a tracer that never opens a record holds no ring storage.
+// Stamp sites take the current
 // simulation time explicitly, so this module depends only on src/util and
 // sits below src/net in the link order; devices reach the active tracer via
 // the process-wide Install/Current pattern PacketPool established. When no
@@ -72,32 +74,11 @@ struct LatencyReport {
 
   const LatencyStageSummary* Find(const std::string& stage) const;
   // Single-line JSON object (the PERF_LATENCY_JSON payload and the
-  // <prefix>.latency.json file format).
+  // <prefix>.latency.json file format; bench_gate reads it back).
   std::string ToJson() const;
   // Fixed-width text table for terminal output.
   std::string ToTable() const;
 };
-
-// Parses a report previously produced by LatencyReport::ToJson. Sets *ok to
-// false (and returns an empty report) on malformed input.
-LatencyReport ParseLatencyReportJson(const std::string& json, bool* ok = nullptr);
-
-// One comparator violation: `metric` of `stage` regressed past tolerance.
-struct LatencyRegression {
-  std::string stage;
-  std::string metric;  // "mean_ns" or "p99_ns".
-  double baseline = 0;
-  double current = 0;
-  double ratio = 0;  // current / baseline.
-};
-
-// CI regression gate: flags stages whose mean or p99 grew beyond
-// baseline * (1 + tolerance). Stages with fewer than `min_count` baseline
-// samples are skipped (too noisy to gate on); improvements always pass.
-std::vector<LatencyRegression> CompareLatencyReports(const LatencyReport& baseline,
-                                                     const LatencyReport& current,
-                                                     double tolerance,
-                                                     uint64_t min_count = 50);
 
 class LatencyTracer {
  public:
@@ -129,6 +110,8 @@ class LatencyTracer {
   // Records whose folded stage intervals failed to sum to their end-to-end
   // time — always 0 unless a stamp site regresses (latency_test asserts it).
   uint64_t partition_mismatches() const { return partition_mismatches_; }
+  // Bytes of ring storage held: 0 until the first Begin.
+  size_t ring_bytes() const { return ring_.capacity() * sizeof(Record); }
 
   const LogHistogram& stage_hist(LatencyStage stage) const {
     return stage_hist_[static_cast<size_t>(stage)];
@@ -142,7 +125,6 @@ class LatencyTracer {
   const RunningStats& e2e_stats() const { return e2e_stats_; }
 
   LatencyReport Report() const;
-  void Clear();
 
  private:
   struct Record {
@@ -154,6 +136,9 @@ class LatencyTracer {
   };
 
   Record* Slot(uint64_t id) {
+    if (ring_.empty()) {
+      return nullptr;  // Never begun: every id belongs to another tracer.
+    }
     Record& r = ring_[id & mask_];
     return r.id == id ? &r : nullptr;
   }

@@ -49,12 +49,6 @@ const TimeSeries* TimeSeriesSampler::Find(const std::string& name) const {
   return it == by_name_.end() ? nullptr : it->second;
 }
 
-void TimeSeriesSampler::AddProbe(const std::string& name, std::function<double()> fn,
-                                 size_t max_points) {
-  TAS_CHECK(fn != nullptr);
-  probes_.push_back(Probe{&Series(name, max_points), std::move(fn)});
-}
-
 void TimeSeriesSampler::AddSweepHook(std::function<void(TimeNs)> hook) {
   TAS_CHECK(hook != nullptr);
   hooks_.push_back(std::move(hook));
@@ -75,9 +69,6 @@ void TimeSeriesSampler::Stop() {
 void TimeSeriesSampler::SampleNow() {
   const TimeNs now = sim_->Now();
   ++sweeps_;
-  for (Probe& probe : probes_) {
-    probe.series->Append(now, probe.fn());
-  }
   for (auto& hook : hooks_) {
     hook(now);
   }

@@ -7,8 +7,9 @@
 // decimation is purely deterministic.
 //
 // A TimeSeriesSampler owns named series. Series fill two ways:
-//  * probes — callbacks swept by a PeriodicTask every sample period
-//    (per-core utilization, buffer occupancy, queue depth);
+//  * sweep hooks — callbacks a PeriodicTask runs every sample period, each
+//    appending to the series it owns (per-core utilization, buffer
+//    occupancy, queue depth);
 //  * event-driven appends — the owner pushes points when the value changes
 //    (active fast-path core count, Fig 14).
 #ifndef SRC_TRACE_TIMESERIES_H_
@@ -54,9 +55,6 @@ class TimeSeriesSampler {
   TimeSeries* Find(const std::string& name);
   const TimeSeries* Find(const std::string& name) const;
 
-  // Registers a probe sampled into `name` on every sweep.
-  void AddProbe(const std::string& name, std::function<double()> fn,
-                size_t max_points = 4096);
   // Registers a callback invoked once per sweep, for owners that append to a
   // dynamic set of series (e.g. one series per live flow).
   void AddSweepHook(std::function<void(TimeNs)> hook);
@@ -76,15 +74,9 @@ class TimeSeriesSampler {
   void WriteJsonl(std::ostream& os) const;
 
  private:
-  struct Probe {
-    TimeSeries* series;
-    std::function<double()> fn;
-  };
-
   Simulator* sim_;
   std::vector<std::unique_ptr<TimeSeries>> series_;
   std::unordered_map<std::string, TimeSeries*> by_name_;
-  std::vector<Probe> probes_;
   std::vector<std::function<void(TimeNs)>> hooks_;
   std::unique_ptr<PeriodicTask> task_;
   uint64_t sweeps_ = 0;

@@ -117,14 +117,9 @@ class SpanRecorder {
     return track;
   }
 
-  const TrackRegistry& registry() const { return registry_; }
   const std::vector<TraceSpan>& spans() const { return spans_; }
   const std::map<int, std::string>& track_names() const { return track_names_; }
   uint64_t dropped() const { return dropped_; }
-  void Clear() {
-    spans_.clear();
-    dropped_ = 0;
-  }
 
  private:
   bool enabled_ = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 #include "src/util/logging.h"
 
@@ -110,7 +109,6 @@ double LatencyRecorder::Mean() const {
 }
 
 double LatencyRecorder::Max() const { return Percentile(100); }
-double LatencyRecorder::Min() const { return Percentile(0); }
 
 std::vector<std::pair<double, double>> LatencyRecorder::Cdf(size_t max_points) const {
   std::vector<std::pair<double, double>> out;
@@ -176,17 +174,6 @@ uint64_t LogHistogram::ApproxPercentile(double p) const {
     }
   }
   return ~0ull;
-}
-
-std::string LogHistogram::ToString() const {
-  std::ostringstream os;
-  for (int i = 0; i < kBuckets; ++i) {
-    if (buckets_[i] != 0) {
-      os << "[" << (i == 0 ? 0 : (1ull << (i - 1))) << "," << ((1ull << i) - 1)
-         << "]: " << buckets_[i] << " ";
-    }
-  }
-  return os.str();
 }
 
 double RateCounter::Rate(TimeNs now) const {

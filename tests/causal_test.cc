@@ -1,20 +1,24 @@
 // Request-level causal tracing tests (DESIGN.md §12): span-tree assembly
 // (including orphaned spans), critical-path extraction and its partition
-// invariant, report JSON round-trips, the regression comparator, and
+// invariant, the report JSON read back, the CI gate's comparator, and
 // end-to-end trace collection across the client/proxy/origin rig — span
 // trees spanning hosts, coalesced-waiter fan-out links, same-seed
 // byte-identical reruns with tracing on, and tracing-off passivity.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/harness/experiment.h"
 #include "src/proxy/origin_server.h"
 #include "src/proxy/proxy_client.h"
 #include "src/proxy/proxy_server.h"
 #include "src/trace/causal.h"
+#include "src/trace/gate.h"
+#include "src/util/json.h"
 
 namespace tas {
 namespace {
@@ -203,11 +207,13 @@ TEST(CausalTracerTest, RingOverwriteDropsOldestLiveTrace) {
 }
 
 // ---------------------------------------------------------------------------
-// Report JSON round-trip and the regression comparator.
+// Report JSON read back through the one reader, and the CI gate's
+// comparator on it.
 
+// 60 traces per class: above the gate's kGateMinCount sample floor.
 CriticalPathReport TwoClassReport() {
   CausalTracer tracer(1u << 4);
-  for (int i = 0; i < 60; ++i) {
+  for (int i = 0; i < 120; ++i) {
     const uint64_t t = tracer.BeginTrace(i * 1000);
     tracer.Mark(t, CausalEdge::kNetRequest, i * 1000 + 100);
     tracer.Mark(t, CausalEdge::kOriginQueue, i * 1000 + 300 + i);
@@ -218,31 +224,36 @@ CriticalPathReport TwoClassReport() {
   return tracer.Report();
 }
 
-TEST(CriticalPathReportTest, JsonRoundTripPreservesRows) {
+TEST(CriticalPathReportTest, JsonReadsBackEveryRow) {
   const CriticalPathReport report = TwoClassReport();
-  bool ok = false;
-  const CriticalPathReport parsed = ParseCriticalPathReportJson(report.ToJson(), &ok);
-  ASSERT_TRUE(ok);
-  ASSERT_EQ(parsed.classes.size(), report.classes.size());
-  for (size_t c = 0; c < report.classes.size(); ++c) {
-    EXPECT_EQ(parsed.classes[c].request_class, report.classes[c].request_class);
-    EXPECT_EQ(parsed.classes[c].count, report.classes[c].count);
-    ASSERT_EQ(parsed.classes[c].edges.size(), report.classes[c].edges.size());
-    for (size_t e = 0; e < report.classes[c].edges.size(); ++e) {
-      EXPECT_EQ(parsed.classes[c].edges[e].edge, report.classes[c].edges[e].edge);
-      EXPECT_EQ(parsed.classes[c].edges[e].count, report.classes[c].edges[e].count);
-      EXPECT_EQ(parsed.classes[c].edges[e].p99_ns, report.classes[c].edges[e].p99_ns);
-      EXPECT_NEAR(parsed.classes[c].edges[e].mean_ns, report.classes[c].edges[e].mean_ns, 0.5);
+  const std::optional<JsonValue> doc = ParseJson(report.ToJson());
+  ASSERT_TRUE(doc.has_value());
+  const std::vector<JsonValue>& classes = doc->Find("classes")->items();
+  ASSERT_EQ(classes.size(), report.classes.size());
+  for (size_t c = 0; c < classes.size(); ++c) {
+    EXPECT_EQ(*classes[c].FindString("request_class"), report.classes[c].request_class);
+    EXPECT_EQ(classes[c].FindNumber("count"), static_cast<double>(report.classes[c].count));
+    const std::vector<JsonValue>& edges = classes[c].Find("edges")->items();
+    ASSERT_EQ(edges.size(), report.classes[c].edges.size());
+    for (size_t e = 0; e < edges.size(); ++e) {
+      const CriticalPathEdgeSummary& want = report.classes[c].edges[e];
+      EXPECT_EQ(*edges[e].FindString("edge"), want.edge);
+      EXPECT_EQ(edges[e].FindNumber("count"), static_cast<double>(want.count));
+      EXPECT_EQ(edges[e].FindNumber("p99_ns"), static_cast<double>(want.p99_ns));
+      EXPECT_NEAR(*edges[e].FindNumber("mean_ns"), want.mean_ns, 0.05);  // 1 decimal.
     }
   }
-  bool bad_ok = true;
-  ParseCriticalPathReportJson("not json", &bad_ok);
-  EXPECT_FALSE(bad_ok);
+}
+
+std::vector<GateViolation> Gate(const CriticalPathReport& baseline,
+                                const CriticalPathReport& current, double tolerance) {
+  std::string error;
+  return CompareReports(baseline.ToJson(), current.ToJson(), tolerance, &error).value().violations;
 }
 
 TEST(CriticalPathGateTest, IdenticalReportsPassPerturbedOriginQueueFails) {
   const CriticalPathReport baseline = TwoClassReport();
-  EXPECT_TRUE(CompareCriticalPathReports(baseline, baseline, 0.15, 10).empty());
+  EXPECT_TRUE(Gate(baseline, baseline, 0.15).empty());
 
   // Inject a +20% origin-queue perturbation: the gate must trip on it.
   CriticalPathReport perturbed = baseline;
@@ -254,23 +265,24 @@ TEST(CriticalPathGateTest, IdenticalReportsPassPerturbedOriginQueueFails) {
       }
     }
   }
-  const auto regressions = CompareCriticalPathReports(baseline, perturbed, 0.15, 10);
+  const auto regressions = Gate(baseline, perturbed, 0.15);
   ASSERT_FALSE(regressions.empty());
-  for (const CriticalPathRegression& r : regressions) {
-    EXPECT_EQ(r.edge, "origin_queue");
-    EXPECT_GT(r.ratio, 1.15);
+  for (const GateViolation& r : regressions) {
+    EXPECT_NE(r.row.find("/origin_queue"), std::string::npos) << r.row;
+    EXPECT_GT(r.current, r.baseline * 1.15);
   }
   // Improvements pass: compare the perturbed baseline against the original.
-  EXPECT_TRUE(CompareCriticalPathReports(perturbed, baseline, 0.15, 10).empty());
+  EXPECT_TRUE(Gate(perturbed, baseline, 0.15).empty());
 }
 
 TEST(CriticalPathGateTest, VanishedClassIsAViolation) {
   const CriticalPathReport baseline = TwoClassReport();
   CriticalPathReport current = baseline;
   current.classes.erase(current.classes.begin());  // Drop "hit".
-  const auto regressions = CompareCriticalPathReports(baseline, current, 0.15, 10);
+  const auto regressions = Gate(baseline, current, 0.15);
   ASSERT_EQ(regressions.size(), 1u);
-  EXPECT_EQ(regressions[0].request_class, "hit");
+  EXPECT_EQ(regressions[0].row, "hit");
+  EXPECT_EQ(regressions[0].metric, "count");
 }
 
 // ---------------------------------------------------------------------------

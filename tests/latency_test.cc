@@ -1,16 +1,20 @@
 // Tests for per-packet latency anatomy (src/trace/latency): ring-overflow
 // semantics, stale-stamp rejection, the partition invariant under batching,
-// passivity (stamping must not perturb the simulation), JSON round-trip,
-// and the CI regression comparator.
+// passivity (stamping must not perturb the simulation), the report JSON
+// read back through the one reader, and the CI gate's comparator on it.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/app/rpc_echo.h"
 #include "src/harness/experiment.h"
+#include "src/trace/gate.h"
 #include "src/trace/latency.h"
 #include "src/trace/tracer.h"
+#include "src/util/json.h"
 
 namespace tas {
 namespace {
@@ -67,7 +71,7 @@ TEST(LatencyTracerTest, AbandonRetiresWithoutFolding) {
   EXPECT_EQ(tracer.stale(), 0u);
 }
 
-TEST(LatencyTracerTest, ReportJsonRoundTrips) {
+TEST(LatencyTracerTest, ReportJsonReadsBack) {
   LatencyTracer tracer(16);
   for (int i = 0; i < 10; ++i) {
     const uint64_t id = tracer.Begin(i * 1000);
@@ -76,23 +80,20 @@ TEST(LatencyTracerTest, ReportJsonRoundTrips) {
     tracer.Finish(id, LatencyStage::kFpRx, i * 1000 + 900 + i);
   }
   const LatencyReport report = tracer.Report();
-  bool ok = false;
-  const LatencyReport parsed = ParseLatencyReportJson(report.ToJson(), &ok);
-  ASSERT_TRUE(ok);
-  EXPECT_EQ(parsed.completed, report.completed);
-  EXPECT_EQ(parsed.abandoned, report.abandoned);
-  ASSERT_EQ(parsed.stages.size(), report.stages.size());
-  for (size_t i = 0; i < report.stages.size(); ++i) {
-    EXPECT_EQ(parsed.stages[i].stage, report.stages[i].stage);
-    EXPECT_EQ(parsed.stages[i].cls, report.stages[i].cls);
-    EXPECT_EQ(parsed.stages[i].count, report.stages[i].count);
-    EXPECT_EQ(parsed.stages[i].p50_ns, report.stages[i].p50_ns);
-    EXPECT_EQ(parsed.stages[i].p99_ns, report.stages[i].p99_ns);
-    // mean_ns is serialized with one decimal.
-    EXPECT_NEAR(parsed.stages[i].mean_ns, report.stages[i].mean_ns, 0.05);
+  const std::optional<JsonValue> doc = ParseJson(report.ToJson());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->FindNumber("completed"), static_cast<double>(report.completed));
+  EXPECT_EQ(doc->FindNumber("abandoned"), static_cast<double>(report.abandoned));
+  const std::vector<JsonValue>& rows = doc->Find("stages")->items();
+  ASSERT_EQ(rows.size(), report.stages.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(*rows[i].FindString("stage"), report.stages[i].stage);
+    EXPECT_EQ(*rows[i].FindString("class"), report.stages[i].cls);
+    EXPECT_EQ(rows[i].FindNumber("count"), static_cast<double>(report.stages[i].count));
+    EXPECT_EQ(rows[i].FindNumber("p50_ns"), static_cast<double>(report.stages[i].p50_ns));
+    EXPECT_EQ(rows[i].FindNumber("p99_ns"), static_cast<double>(report.stages[i].p99_ns));
+    EXPECT_NEAR(*rows[i].FindNumber("mean_ns"), report.stages[i].mean_ns, 0.05);  // 1 decimal.
   }
-  EXPECT_FALSE(ParseLatencyReportJson("not a report", &ok).completed);
-  EXPECT_FALSE(ok);
 }
 
 // Builds a report with enough samples per stage for the comparator to gate.
@@ -112,21 +113,28 @@ LatencyReport SyntheticReport(double scale) {
   return tracer.Report();
 }
 
+// Runs the CI gate's comparator on two reports as they travel: serialized,
+// then read back.
+std::vector<GateViolation> Gate(const LatencyReport& baseline, const LatencyReport& current,
+                                double tolerance) {
+  std::string error;
+  return CompareReports(baseline.ToJson(), current.ToJson(), tolerance, &error).value().violations;
+}
+
 TEST(LatencyComparatorTest, TwentyPercentPerturbationFailsIdenticalPasses) {
   const LatencyReport baseline = SyntheticReport(1.0);
   // Identical run: no violations even at zero tolerance.
-  EXPECT_TRUE(CompareLatencyReports(baseline, baseline, 0.0).empty());
+  EXPECT_TRUE(Gate(baseline, baseline, 0.0).empty());
 
   // A +20% per-stage cost perturbation must trip a 10% gate...
   const LatencyReport slower = SyntheticReport(1.2);
-  const auto violations = CompareLatencyReports(baseline, slower, 0.10);
+  const auto violations = Gate(baseline, slower, 0.10);
   ASSERT_FALSE(violations.empty());
   for (const auto& v : violations) {
-    EXPECT_GT(v.ratio, 1.10);
-    EXPECT_GT(v.current, v.baseline);
+    EXPECT_GT(v.current, v.baseline * 1.10);
   }
   // ...and pass a 30% gate.
-  EXPECT_TRUE(CompareLatencyReports(baseline, slower, 0.30).empty());
+  EXPECT_TRUE(Gate(baseline, slower, 0.30).empty());
 
   // A tail-only regression (p99 doubled, means untouched) is caught too.
   LatencyReport tail = baseline;
@@ -135,20 +143,20 @@ TEST(LatencyComparatorTest, TwentyPercentPerturbationFailsIdenticalPasses) {
       s.p99_ns *= 2;
     }
   }
-  const auto tail_violations = CompareLatencyReports(baseline, tail, 0.5);
+  const auto tail_violations = Gate(baseline, tail, 0.5);
   ASSERT_EQ(tail_violations.size(), 1u);
-  EXPECT_EQ(tail_violations[0].stage, "fp_rx");
+  EXPECT_EQ(tail_violations[0].row, "fp_rx");
   EXPECT_EQ(tail_violations[0].metric, "p99_ns");
 
   // Improvements always pass.
   const LatencyReport faster = SyntheticReport(0.8);
-  EXPECT_TRUE(CompareLatencyReports(baseline, faster, 0.0).empty());
+  EXPECT_TRUE(Gate(baseline, faster, 0.0).empty());
 
   // Stages under the sample floor are skipped: a tiny baseline gates nothing.
   LatencyTracer small(16);
   const uint64_t id = small.Begin(0);
   small.Finish(id, LatencyStage::kFpRx, 100);
-  EXPECT_TRUE(CompareLatencyReports(small.Report(), slower, 0.0).empty());
+  EXPECT_TRUE(Gate(small.Report(), slower, 0.0).empty());
 }
 
 struct LatencyRun {

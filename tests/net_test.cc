@@ -162,32 +162,6 @@ TEST(LinkTest, InducedLossRate) {
   EXPECT_EQ(link.pipeline(0).at(0)->stats().processed, static_cast<uint64_t>(n));
 }
 
-TEST(LinkTest, LegacyDropRateShimStillInducesLoss) {
-  Simulator sim;
-  LinkConfig config;
-  config.drop_rate = 0.5;
-  config.queue_limit_pkts = 100000;
-  Link link(&sim, config);
-  CollectingDevice dev;
-  link.Attach(1, &dev);
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    link.Send(0, DataPacket(10));
-  }
-  sim.Run();
-  const double loss =
-      static_cast<double>(link.stats(0).drops_induced) / static_cast<double>(n);
-  EXPECT_NEAR(loss, 0.5, 0.03);
-  // The shim can be retargeted at runtime.
-  link.set_drop_rate(0.0);
-  const uint64_t drops_before = link.stats(0).drops_induced;
-  for (int i = 0; i < 1000; ++i) {
-    link.Send(0, DataPacket(10));
-  }
-  sim.Run();
-  EXPECT_EQ(link.stats(0).drops_induced, drops_before);
-}
-
 TEST(LinkTest, DirectionsIndependent) {
   Simulator sim;
   LinkConfig config;

@@ -1,8 +1,8 @@
 // Tests for the packet pool (src/net/packet_pool): free-list recycling with
 // retained payload capacity, deleter routing, teardown with packets captured
-// in pending event closures, the TAS_NO_POOL escape hatch, and — the key
-// invariant — that pooling never changes simulation behavior: same-seed runs
-// emit byte-identical flow-event traces with the pool on or off.
+// in pending event closures, and — the key invariant — that recycling never
+// changes simulation behavior: a same-seed run that draws dirty recycled
+// packets emits the byte-identical flow-event trace of a cold-pool run.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -130,23 +130,6 @@ TEST(PacketPoolTest, DeleterRoutesToOwningPoolAcrossInstalls) {
   PacketPool::Install(prev);
 }
 
-TEST(PacketPoolTest, DisabledPoolingBypassesFreeList) {
-  ASSERT_TRUE(PacketPool::PoolingEnabled());
-  PacketPool::SetPoolingEnabled(false);
-  {
-    PacketPool pool;
-    {
-      PacketPtr pkt = pool.Acquire();
-      pkt->payload.resize(64);
-    }
-    const PacketPoolStats stats = pool.stats();
-    EXPECT_EQ(stats.unpooled, 1u);
-    EXPECT_EQ(stats.allocated, 0u);
-    EXPECT_EQ(pool.free_size(), 0u);
-  }
-  PacketPool::SetPoolingEnabled(true);
-}
-
 TEST(PacketPoolTest, FreeListRespectsCap) {
   PacketPool pool(/*max_free=*/2);
   std::vector<PacketPtr> live;
@@ -162,8 +145,10 @@ TEST(PacketPoolTest, FreeListRespectsCap) {
 
 // One lossy same-seed TAS bulk transfer; returns the sender's flow-event
 // JSONL (handshakes, retransmits, cc updates — pure simulation behavior; no
-// pool metrics, which legitimately differ with pooling off).
-std::string RunLossyTransfer() {
+// pool metrics, which legitimately differ with a pre-warmed pool). With
+// `warm_pool` the experiment's pool starts with a free list of dirtied
+// packets, so the run's packets are recycled ones from the first Acquire.
+std::string RunLossyTransfer(bool warm_pool, uint64_t* allocated_in_run) {
   TasConfig tas_config;
   tas_config.trace.flow_events = true;
 
@@ -177,9 +162,21 @@ std::string RunLossyTransfer() {
   link.gbps = 10.0;
   link.propagation_delay = Us(2);
   link.queue_limit_pkts = 128;
-  link.drop_rate = 0.02;
+  link.faults.Add(BernoulliLoss(0.02));
   link.rng_seed = 11;  // Fixed seed: byte-identical reruns.
   auto exp = Experiment::PointToPoint(spec, spec, link);
+  if (warm_pool) {
+    std::vector<PacketPtr> dirty;
+    for (int i = 0; i < 4096; ++i) {
+      PacketPtr pkt = exp->packet_pool().Acquire();
+      pkt->tcp.seq = 0xDEADBEEF;
+      pkt->tcp.flags = TcpFlags::kRst;
+      pkt->payload.assign(1448, 0xEE);
+      pkt->lat_id = 99;
+      dirty.push_back(std::move(pkt));
+    }
+  }
+  const uint64_t allocated_before = exp->pool_stats().allocated;
 
   BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
   rx.Start();
@@ -190,22 +187,26 @@ std::string RunLossyTransfer() {
   tx.Start();
   exp->sim().RunUntil(Ms(30));
 
+  *allocated_in_run = exp->pool_stats().allocated - allocated_before;
   std::ostringstream f;
   exp->host(1).tas()->tracer().WriteFlowEventsJsonl(f);
   return f.str();
 }
 
-TEST(PacketPoolDeterminismTest, SameSeedIdenticalWithPoolOnAndOff) {
-  ASSERT_TRUE(PacketPool::PoolingEnabled());
-  const std::string pooled = RunLossyTransfer();
-  PacketPool::SetPoolingEnabled(false);
-  const std::string unpooled = RunLossyTransfer();
-  PacketPool::SetPoolingEnabled(true);
-  const std::string pooled_again = RunLossyTransfer();
+TEST(PacketPoolDeterminismTest, SameSeedIdenticalFromColdAndWarmPool) {
+  uint64_t cold_allocated = 0;
+  uint64_t warm_allocated = 0;
+  const std::string cold = RunLossyTransfer(/*warm_pool=*/false, &cold_allocated);
+  const std::string warm = RunLossyTransfer(/*warm_pool=*/true, &warm_allocated);
+  const std::string cold_again = RunLossyTransfer(/*warm_pool=*/false, &cold_allocated);
 
-  EXPECT_FALSE(pooled.empty());
-  EXPECT_EQ(pooled, unpooled) << "pooling changed simulation behavior";
-  EXPECT_EQ(pooled, pooled_again) << "same-seed rerun not reproducible";
+  EXPECT_FALSE(cold.empty());
+  // The cold run allocated its packets; every packet of the warm run was a
+  // recycled, dirtied one.
+  EXPECT_GT(cold_allocated, 0u);
+  EXPECT_EQ(warm_allocated, 0u);
+  EXPECT_EQ(cold, warm) << "recycled packets changed simulation behavior";
+  EXPECT_EQ(cold, cold_again) << "same-seed rerun not reproducible";
 }
 
 }  // namespace

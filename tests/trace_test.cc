@@ -6,7 +6,7 @@
 // two same-seed runs.
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,167 +14,12 @@
 #include "src/app/bulk.h"
 #include "src/harness/experiment.h"
 #include "src/trace/tracer.h"
+#include "src/util/json.h"
 
 namespace tas {
 namespace {
 
-// --- Minimal JSON syntax checker -------------------------------------------
-// Validates structure (objects, arrays, strings, numbers, literals) without
-// building a tree; enough to catch any malformed exporter output.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& s) : p_(s.data()), end_(s.data() + s.size()) {}
-
-  bool Valid() {
-    Ws();
-    if (!Value()) {
-      return false;
-    }
-    Ws();
-    return p_ == end_;
-  }
-
- private:
-  bool Value() {
-    if (p_ == end_) {
-      return false;
-    }
-    switch (*p_) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++p_;  // '{'
-    Ws();
-    if (p_ != end_ && *p_ == '}') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      Ws();
-      if (!String()) {
-        return false;
-      }
-      Ws();
-      if (p_ == end_ || *p_ != ':') {
-        return false;
-      }
-      ++p_;
-      Ws();
-      if (!Value()) {
-        return false;
-      }
-      Ws();
-      if (p_ == end_) {
-        return false;
-      }
-      if (*p_ == '}') {
-        ++p_;
-        return true;
-      }
-      if (*p_ != ',') {
-        return false;
-      }
-      ++p_;
-    }
-  }
-
-  bool Array() {
-    ++p_;  // '['
-    Ws();
-    if (p_ != end_ && *p_ == ']') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      Ws();
-      if (!Value()) {
-        return false;
-      }
-      Ws();
-      if (p_ == end_) {
-        return false;
-      }
-      if (*p_ == ']') {
-        ++p_;
-        return true;
-      }
-      if (*p_ != ',') {
-        return false;
-      }
-      ++p_;
-    }
-  }
-
-  bool String() {
-    if (p_ == end_ || *p_ != '"') {
-      return false;
-    }
-    ++p_;
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ == end_) {
-          return false;
-        }
-      }
-      ++p_;
-    }
-    if (p_ == end_) {
-      return false;
-    }
-    ++p_;
-    return true;
-  }
-
-  bool Number() {
-    const char* start = p_;
-    if (p_ != end_ && (*p_ == '-' || *p_ == '+')) {
-      ++p_;
-    }
-    bool digits = false;
-    while (p_ != end_ && (std::isdigit(static_cast<unsigned char>(*p_)) || *p_ == '.' ||
-                          *p_ == 'e' || *p_ == 'E' || *p_ == '-' || *p_ == '+')) {
-      digits = digits || std::isdigit(static_cast<unsigned char>(*p_));
-      ++p_;
-    }
-    return digits && p_ != start;
-  }
-
-  bool Literal(const char* lit) {
-    for (const char* q = lit; *q != '\0'; ++q, ++p_) {
-      if (p_ == end_ || *p_ != *q) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void Ws() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
-      ++p_;
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
-bool ValidJson(const std::string& s) { return JsonChecker(s).Valid(); }
+bool ValidJson(const std::string& s) { return ParseJson(s).has_value(); }
 
 bool ValidJsonl(const std::string& s) {
   std::istringstream is(s);
@@ -271,6 +116,54 @@ TEST(FlowTracerTest, PerFlowEnableFilters) {
   EXPECT_FALSE(tracer.enabled(8));
   ASSERT_EQ(tracer.size(), 1u);
   EXPECT_EQ(tracer.Events()[0].flow, 7u);
+}
+
+// Two bulk flows from host 1 to host 0 until `until`.
+void RunBulk(Experiment* exp, TimeNs until) {
+  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
+  rx.Start();
+  BulkSenderConfig sc;
+  sc.server_ip = exp->host(0).ip();
+  sc.num_flows = 2;
+  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  tx.Start();
+  exp->sim().RunUntil(until);
+}
+
+// A 5 ms default-config (untraced) bulk transfer; `trace_flow0` opts the
+// sender's flow 0 into event tracing after the service is built.
+std::unique_ptr<Experiment> UntracedTransfer(bool trace_flow0) {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  spec.app_cores = 2;
+  auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
+  if (trace_flow0) {
+    exp->host(1).tas()->tracer().flow_events().EnableFlow(0);
+  }
+  RunBulk(exp.get(), Ms(5));
+  return exp;
+}
+
+TEST(TracerRingTest, UntracedServiceHoldsNoRingStorage) {
+  auto exp = UntracedTransfer(/*trace_flow0=*/false);
+  for (size_t h = 0; h < 2; ++h) {
+    const Tracer& tracer = exp->host(h).tas()->tracer();
+    EXPECT_EQ(tracer.flow_events().ring_bytes(), 0u);
+    EXPECT_EQ(tracer.latency().ring_bytes(), 0u);
+    EXPECT_EQ(tracer.causal().ring_bytes(), 0u);
+    // capacity() still reports the configured size.
+    EXPECT_EQ(tracer.flow_events().capacity(), TraceConfig{}.flow_event_capacity);
+  }
+}
+
+TEST(TracerRingTest, PerFlowEnableAfterConstructionRecords) {
+  auto exp = UntracedTransfer(/*trace_flow0=*/true);
+  const FlowTracer& events = exp->host(1).tas()->tracer().flow_events();
+  ASSERT_GT(events.size(), 0u);
+  EXPECT_GT(events.ring_bytes(), 0u);
+  for (const FlowEvent& e : events.Events()) {
+    EXPECT_EQ(e.flow, 0u);
+  }
 }
 
 TEST(SpanRecorderTest, DropsNewestAtCapacity) {
@@ -371,18 +264,10 @@ TraceRun RunLossyTransfer() {
   link.gbps = 10.0;
   link.propagation_delay = Us(2);
   link.queue_limit_pkts = 128;
-  link.drop_rate = 0.02;
+  link.faults.Add(BernoulliLoss(0.02));
   link.rng_seed = 11;  // Fixed seed: byte-identical reruns.
   auto exp = Experiment::PointToPoint(spec, spec, link);
-
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
-  rx.Start();
-  BulkSenderConfig sc;
-  sc.server_ip = exp->host(0).ip();
-  sc.num_flows = 2;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
-  tx.Start();
-  exp->sim().RunUntil(Ms(30));
+  RunBulk(exp.get(), Ms(30));
 
   TraceRun out;
   const Tracer& tracer = exp->host(1).tas()->tracer();  // Sender side.

@@ -1,11 +1,14 @@
 // Unit tests for src/util: RNG and distributions, statistics, the circular
-// byte buffer, the SPSC queue, and the log histogram.
+// byte buffer, the SPSC queue, the log histogram, and the JSON reader.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <vector>
 #include <thread>
 
+#include "src/util/json.h"
 #include "src/util/logging.h"
 #include "src/util/ring_buffer.h"
 #include "src/util/rng.h"
@@ -503,6 +506,48 @@ TEST(RateCounterTest, Rates) {
   counter.AddBytes(1000);
   EXPECT_DOUBLE_EQ(counter.Rate(Sec(1)), 500.0);
   EXPECT_DOUBLE_EQ(counter.BitRate(Sec(1)), 8000.0);
+}
+
+TEST(JsonTest, ParsesATree) {
+  const std::optional<JsonValue> doc = ParseJson(
+      " {\"a\": [1, -2.5e3, true, false, null], \"s\": \"q\\\"\\\\\\/\\n\\u0041\\u00e9\\ud83d\\ude00\","
+      " \"o\": {}, \"a\": 7}\n");
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_EQ(doc->type(), JsonValue::Type::kObject);
+  EXPECT_EQ(doc->items().size(), 4u);
+  const std::vector<JsonValue>& a = doc->Find("a")->items();  // The first "a" wins.
+  ASSERT_EQ(a.size(), 5u);
+  EXPECT_EQ(a[0].number(), 1);
+  EXPECT_EQ(a[1].number(), -2500);
+  EXPECT_TRUE(a[2].boolean());
+  EXPECT_EQ(a[3].type(), JsonValue::Type::kBool);
+  EXPECT_FALSE(a[3].boolean());
+  EXPECT_EQ(a[4].type(), JsonValue::Type::kNull);
+  // ASCII escapes decode; other code points keep their (checked) escape text.
+  EXPECT_EQ(*doc->FindString("s"), "q\"\\/\nA\\u00e9\\ud83d\\ude00");
+  EXPECT_EQ(doc->Find("o")->type(), JsonValue::Type::kObject);
+  EXPECT_EQ(doc->Find("missing"), nullptr);
+  EXPECT_FALSE(doc->FindNumber("s").has_value());
+  EXPECT_EQ(doc->FindString("a"), nullptr);
+  EXPECT_EQ(ParseJson("0.125")->number(), 0.125);
+  EXPECT_EQ(ParseJson("1E+2")->number(), 100);
+}
+
+TEST(JsonTest, RejectsMalformedInput) {
+  const char* const kBad[] = {
+      "", " ", "{", "}", "[1,]", "[1 2]", "{\"a\":1,}", "{\"a\" 1}", "{a:1}", "{\"a\":}",
+      "01", "1.", ".5", "-", "+1", "1e", "0x10", "NaN", "nan", "inf", "tru", "nul",
+      "\"unterminated", "\"tab\there\"", "\"\\x\"", "\"\\u12g4\"", "\"\\ud800\"",
+      "\"\\udc00\"", "{} {}", "[1]x", "'a'",
+  };
+  for (const char* bad : kBad) {
+    std::string error;
+    EXPECT_FALSE(ParseJson(bad, &error).has_value()) << bad;
+    EXPECT_NE(error.find("at byte"), std::string::npos) << bad;
+  }
+  // Nesting is bounded, so a hostile document cannot exhaust the stack.
+  EXPECT_FALSE(ParseJson(std::string(100000, '[') + std::string(100000, ']')).has_value());
+  EXPECT_TRUE(ParseJson(std::string(100, '[') + std::string(100, ']')).has_value());
 }
 
 }  // namespace
