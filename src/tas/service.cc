@@ -29,27 +29,19 @@ std::unique_ptr<RateCc> MakeRateCc(const TasConfig& config) {
 TasService::TasService(Simulator* sim, HostPort* port, const TasConfig& config)
     : sim_(sim), config_(config), rng_(config.rng_seed) {
   tracer_ = std::make_unique<Tracer>(sim, config.trace);
-  if (config.trace.latency_stages && LatencyTracer::Current() == nullptr) {
-    // First latency-enabled TAS host wins: packet journeys cross hosts, so
-    // every device in the experiment stamps into ONE tracer. Later hosts keep
-    // their (empty) per-host tracer; the installer's report holds the data.
-    LatencyTracer::Install(&tracer_->latency());
-    latency_installed_ = true;
+  // First host wins each process-wide sink: packets and requests cross
+  // hosts, so one tracer (one recorder) observes every path. Later hosts
+  // keep their empty per-host tracers; every armed host still runs its own
+  // watchdog below.
+  if (config.trace.latency_stages) {
+    latency_claim_.Take(&tracer_->latency());
   }
-  if (config.trace.causal && CausalTracer::Current() == nullptr) {
-    // Same first-host-wins discipline for request-level causal tracing:
-    // requests cross the client/proxy/origin hosts, so one tracer observes
-    // every span and mark of the path.
-    CausalTracer::Install(&tracer_->causal());
-    causal_installed_ = true;
+  if (config.trace.causal) {
+    causal_claim_.Take(&tracer_->causal());
   }
   if (config.watchdog.enabled && FlightRecorder::Current() == nullptr) {
-    // First watchdog-enabled host owns the process-wide flight recorder
-    // (events and latency records cross hosts; one recorder retains them
-    // all). Every armed host still runs its own watchdog below.
     recorder_ = std::make_unique<FlightRecorder>(config.watchdog);
-    FlightRecorder::Install(recorder_.get());
-    recorder_installed_ = true;
+    recorder_claim_.Take(recorder_.get());
   }
   NicConfig nic_config;
   nic_config.num_queues = config.max_fastpath_cores;
@@ -283,7 +275,6 @@ void TasService::RegisterTraceInstrumentation() {
 
   if (config_.trace.sample_period > 0) {
     TimeSeriesSampler& sampler = tracer_->sampler();
-    const size_t max_pts = config_.trace.series_max_points;
     // Per-core utilization over each sample window (fraction busy since the
     // previous sweep). The window state lives in the hook's closure.
     struct UtilWindow {
@@ -292,7 +283,7 @@ void TasService::RegisterTraceInstrumentation() {
     };
     auto win = std::make_shared<UtilWindow>();
     win->busy.resize(fastpath_cores_.size() + 1, 0);
-    sampler.AddSweepHook([this, win, max_pts](TimeNs now) {
+    sampler.AddSweepHook([this, win](TimeNs now) {
       TimeSeriesSampler& s = tracer_->sampler();
       const TimeNs window = now - win->last;
       const auto util = [window](TimeNs busy_delta) {
@@ -303,35 +294,32 @@ void TasService::RegisterTraceInstrumentation() {
       };
       for (size_t i = 0; i < fastpath_cores_.size(); ++i) {
         const TimeNs busy = fastpath_cores_[i]->busy_ns();
-        s.Series("tas.core." + std::to_string(i) + ".util", max_pts)
-            .Append(now, util(busy - win->busy[i]));
+        s.Series("tas.core." + std::to_string(i) + ".util").Append(now, util(busy - win->busy[i]));
         win->busy[i] = busy;
       }
       const TimeNs sp_busy = slowpath_core_->busy_ns();
-      s.Series("tas.core.slow.util", max_pts).Append(now, util(sp_busy - win->busy.back()));
+      s.Series("tas.core.slow.util").Append(now, util(sp_busy - win->busy.back()));
       win->busy.back() = sp_busy;
       win->last = now;
     });
     // Flow-table probe percentiles + steering activity as sweep series: the
     // scale-out observability the §3.4 controller and the churn bench read.
-    sampler.AddSweepHook([this, max_pts](TimeNs now) {
+    sampler.AddSweepHook([this](TimeNs now) {
       TimeSeriesSampler& s = tracer_->sampler();
       const LogHistogram& h = flow_table_.probe_hist();
       if (h.count() > 0) {
-        s.Series("tas.flow_table.probe_p50", max_pts)
+        s.Series("tas.flow_table.probe_p50")
             .Append(now, static_cast<double>(h.ApproxPercentile(50)));
-        s.Series("tas.flow_table.probe_p99", max_pts)
+        s.Series("tas.flow_table.probe_p99")
             .Append(now, static_cast<double>(h.ApproxPercentile(99)));
       }
-      s.Series("tas.steer.migrations", max_pts)
-          .Append(now, static_cast<double>(steering_->migrations()));
-      s.Series("tas.steer.group_moves", max_pts)
-          .Append(now, static_cast<double>(steering_->group_moves()));
+      s.Series("tas.steer.migrations").Append(now, static_cast<double>(steering_->migrations()));
+      s.Series("tas.steer.group_moves").Append(now, static_cast<double>(steering_->group_moves()));
     });
     if (config_.trace.latency_stages) {
       // Per-stage percentile series -> Perfetto counter tracks. Cumulative
       // percentiles (the histograms are never reset), sampled on the sweep.
-      sampler.AddSweepHook([this, max_pts](TimeNs now) {
+      sampler.AddSweepHook([this](TimeNs now) {
         TimeSeriesSampler& s = tracer_->sampler();
         const LatencyTracer& lat = tracer_->latency();
         for (int i = 0; i < kNumLatencyStages; ++i) {
@@ -341,21 +329,19 @@ void TasService::RegisterTraceInstrumentation() {
             continue;
           }
           const std::string p = std::string("latency.") + LatencyStageName(stage) + ".";
-          s.Series(p + "p50_us", max_pts)
-              .Append(now, static_cast<double>(h.ApproxPercentile(50)) / 1000.0);
-          s.Series(p + "p99_us", max_pts)
-              .Append(now, static_cast<double>(h.ApproxPercentile(99)) / 1000.0);
+          s.Series(p + "p50_us").Append(now, static_cast<double>(h.ApproxPercentile(50)) / 1000.0);
+          s.Series(p + "p99_us").Append(now, static_cast<double>(h.ApproxPercentile(99)) / 1000.0);
         }
         if (lat.e2e_hist().count() > 0) {
-          s.Series("latency.e2e.p50_us", max_pts)
+          s.Series("latency.e2e.p50_us")
               .Append(now, static_cast<double>(lat.e2e_hist().ApproxPercentile(50)) / 1000.0);
-          s.Series("latency.e2e.p99_us", max_pts)
+          s.Series("latency.e2e.p99_us")
               .Append(now, static_cast<double>(lat.e2e_hist().ApproxPercentile(99)) / 1000.0);
         }
       });
     }
     if (config_.trace.sample_flows) {
-      sampler.AddSweepHook([this, max_pts](TimeNs now) {
+      sampler.AddSweepHook([this](TimeNs now) {
         TimeSeriesSampler& s = tracer_->sampler();
         for (uint32_t i = 0; i < flows_.slot_count(); ++i) {
           if (!flows_.SlotLive(i)) {
@@ -367,17 +353,14 @@ void TasService::RegisterTraceInstrumentation() {
           }
           const std::string p = "flow." + std::to_string(i) + ".";
           if (f->cc_window > 0) {
-            s.Series(p + "cwnd_bytes", max_pts)
-                .Append(now, static_cast<double>(f->cc_window));
+            s.Series(p + "cwnd_bytes").Append(now, static_cast<double>(f->cc_window));
           } else {
-            s.Series(p + "rate_mbps", max_pts).Append(now, f->rate_bps / 1e6);
+            s.Series(p + "rate_mbps").Append(now, f->rate_bps / 1e6);
           }
-          s.Series(p + "inflight_bytes", max_pts)
-              .Append(now, static_cast<double>(f->fs.tx_sent));
-          s.Series(p + "rx_buf_used", max_pts).Append(now, static_cast<double>(f->RxUsed()));
-          s.Series(p + "tx_buf_used", max_pts)
-              .Append(now, static_cast<double>(f->TxQueued()));
-          s.Series(p + "rtt_us", max_pts).Append(now, static_cast<double>(f->fs.rtt_est));
+          s.Series(p + "inflight_bytes").Append(now, static_cast<double>(f->fs.tx_sent));
+          s.Series(p + "rx_buf_used").Append(now, static_cast<double>(f->RxUsed()));
+          s.Series(p + "tx_buf_used").Append(now, static_cast<double>(f->TxQueued()));
+          s.Series(p + "rtt_us").Append(now, static_cast<double>(f->fs.rtt_est));
         }
       });
     }
@@ -385,17 +368,7 @@ void TasService::RegisterTraceInstrumentation() {
   }
 }
 
-TasService::~TasService() {
-  if (latency_installed_ && LatencyTracer::Current() == &tracer_->latency()) {
-    LatencyTracer::Install(nullptr);
-  }
-  if (causal_installed_ && CausalTracer::Current() == &tracer_->causal()) {
-    CausalTracer::Install(nullptr);
-  }
-  if (recorder_installed_ && FlightRecorder::Current() == recorder_.get()) {
-    FlightRecorder::Install(nullptr);
-  }
-}
+TasService::~TasService() = default;
 
 IpAddr TasService::local_ip() const { return nic_->ip(); }
 

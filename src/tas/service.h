@@ -222,18 +222,17 @@ class TasService {
   uint16_t next_ephemeral_ = 20000;
   std::vector<uint32_t> port_use_count_ = std::vector<uint32_t>(65536, 0);
   int active_cores_ = 1;
-  // True if this service installed its tracer's LatencyTracer as the global
-  // stamp sink (first latency-enabled host); the dtor uninstalls it.
-  bool latency_installed_ = false;
-  // Same for the global CausalTracer (request-level causal tracing).
-  bool causal_installed_ = false;
   // Owned + installed process-wide by the first watchdog-enabled host.
   std::unique_ptr<FlightRecorder> recorder_;
-  bool recorder_installed_ = false;
   std::unique_ptr<SloWatchdog> watchdog_;
   TimeSeries* core_series_ = nullptr;  // Owned by tracer_->sampler().
   TasStats stats_;
   Rng rng_;
+  // Process-wide sinks this host installed (first host wins). Declared last
+  // so they uninstall before any other member is destroyed.
+  ProcessWide<LatencyTracer>::Claim latency_claim_;
+  ProcessWide<CausalTracer>::Claim causal_claim_;
+  ProcessWide<FlightRecorder>::Claim recorder_claim_;
 };
 
 }  // namespace tas

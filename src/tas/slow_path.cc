@@ -550,7 +550,7 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
   } else {
     flow.rate_bps = flow.cold().cc->Update(feedback);
   }
-  if (service_->flow_trace().enabled(flow_id)) {
+  if (service_->flow_trace().global()) {
     // ECN fraction of acked bytes in parts per million (fits the integer slot).
     const uint64_t ecn_ppm =
         feedback.acked_bytes > 0

@@ -1,6 +1,5 @@
 #include "src/trace/causal.h"
 
-#include <algorithm>
 #include <iomanip>
 #include <sstream>
 
@@ -8,8 +7,6 @@
 #include "src/util/logging.h"
 
 namespace tas {
-
-CausalTracer* CausalTracer::current_ = nullptr;
 
 const char* CausalEdgeName(CausalEdge edge) {
   switch (edge) {
@@ -84,53 +81,6 @@ const char* CausalSpanKindName(CausalSpanKind kind) {
   return "?";
 }
 
-SpanTree AssembleSpanTree(const std::vector<CausalSpan>& spans) {
-  SpanTree tree;
-  tree.nodes.resize(spans.size());
-  for (size_t i = 0; i < spans.size(); ++i) {
-    tree.nodes[i].span = i;
-  }
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const CausalSpan& s = spans[i];
-    if (s.parent == 0) {
-      if (tree.root == SIZE_MAX) {
-        tree.root = i;
-      }
-      continue;
-    }
-    size_t parent = SIZE_MAX;
-    for (size_t j = 0; j < spans.size(); ++j) {
-      if (spans[j].id == s.parent) {
-        parent = j;
-        break;
-      }
-    }
-    if (parent == SIZE_MAX) {
-      // Parent missing (capacity cap or a tier that died): attach to the
-      // root so the tree stays renderable, and count the degradation.
-      tree.nodes[i].orphan = true;
-      ++tree.orphans;
-      if (tree.root != SIZE_MAX && tree.root != i) {
-        tree.nodes[tree.root].children.push_back(i);
-      }
-      continue;
-    }
-    tree.nodes[parent].children.push_back(i);
-  }
-  // Orphans seen before the root was found still need a home.
-  if (tree.root != SIZE_MAX) {
-    for (size_t i = 0; i < tree.nodes.size(); ++i) {
-      if (tree.nodes[i].orphan) {
-        std::vector<size_t>& kids = tree.nodes[tree.root].children;
-        if (std::find(kids.begin(), kids.end(), i) == kids.end()) {
-          kids.push_back(i);
-        }
-      }
-    }
-  }
-  return tree;
-}
-
 bool ExtractCriticalPath(TimeNs start, TimeNs end, const std::vector<CausalMark>& marks,
                          std::vector<CriticalPathEdge>* out) {
   out->clear();
@@ -159,61 +109,22 @@ bool ExtractCriticalPath(TimeNs start, TimeNs end, const std::vector<CausalMark>
   return true;
 }
 
-CausalTracer::CausalTracer(size_t trace_capacity, size_t exemplars_per_class)
-    : exemplars_per_class_(exemplars_per_class) {
-  size_t cap = 1;
-  while (cap < trace_capacity) {
-    cap <<= 1;
-  }
-  mask_ = cap - 1;
-}
-
-CausalTracer* CausalTracer::Install(CausalTracer* tracer) {
-  CausalTracer* previous = current_;
-  current_ = tracer;
-  return previous;
-}
-
 uint64_t CausalTracer::BeginTrace(TimeNs start) {
-  if (ring_.empty()) {
-    ring_.resize(mask_ + 1);
-  }
-  const uint64_t id = next_trace_id_++;
-  TraceRec& r = ring_[id & mask_];
-  if (r.id != 0) {
-    // Ring wrapped onto a live trace: the oldest in-flight trace is dropped;
-    // its late stamps fail the id check (stale).
-    ++dropped_;
-  }
-  r.id = id;
+  // Wrapping onto a live trace drops that oldest in-flight trace (counted
+  // dropped); its late stamps then fail the id check (stale).
+  TraceRec& r = ring_.Append();
   r.start = start;
   r.has_class = false;
   r.truncated = false;
   r.spans.clear();
   r.marks.clear();
   r.links.clear();
-  return id;
-}
-
-CausalTracer::TraceRec* CausalTracer::Slot(uint64_t id) {
-  if (id == 0) {
-    return nullptr;
-  }
-  if (ring_.empty()) {
-    ++stale_;  // Never begun: every id belongs to another tracer.
-    return nullptr;
-  }
-  TraceRec& r = ring_[id & mask_];
-  if (r.id != id) {
-    ++stale_;
-    return nullptr;
-  }
-  return &r;
+  return ring_.recorded();
 }
 
 uint32_t CausalTracer::StartSpan(uint64_t trace, uint32_t parent, CausalSpanKind kind,
                                  TimeNs start, uint32_t object_id, uint32_t request_id) {
-  TraceRec* r = Slot(trace);
+  TraceRec* r = ring_.Find(trace);
   if (r == nullptr) {
     return 0;
   }
@@ -238,7 +149,7 @@ void CausalTracer::EndSpan(uint64_t trace, uint32_t span, TimeNs end) {
   if (span == 0) {
     return;
   }
-  TraceRec* r = Slot(trace);
+  TraceRec* r = ring_.Find(trace);
   if (r == nullptr) {
     return;
   }
@@ -251,7 +162,7 @@ void CausalTracer::EndSpan(uint64_t trace, uint32_t span, TimeNs end) {
 }
 
 void CausalTracer::Mark(uint64_t trace, CausalEdge edge, TimeNs now) {
-  TraceRec* r = Slot(trace);
+  TraceRec* r = ring_.Find(trace);
   if (r == nullptr) {
     return;
   }
@@ -264,7 +175,7 @@ void CausalTracer::Mark(uint64_t trace, CausalEdge edge, TimeNs now) {
 }
 
 void CausalTracer::SetClass(uint64_t trace, RequestClass cls) {
-  TraceRec* r = Slot(trace);
+  TraceRec* r = ring_.Find(trace);
   if (r == nullptr) {
     return;
   }
@@ -274,7 +185,7 @@ void CausalTracer::SetClass(uint64_t trace, RequestClass cls) {
 
 void CausalTracer::Link(uint64_t from_trace, uint32_t from_span, uint64_t to_trace,
                         uint32_t to_span) {
-  TraceRec* r = Slot(to_trace);
+  TraceRec* r = ring_.Find(to_trace);
   if (r == nullptr) {
     return;
   }
@@ -287,13 +198,13 @@ void CausalTracer::Link(uint64_t from_trace, uint32_t from_span, uint64_t to_tra
 }
 
 void CausalTracer::Finish(uint64_t trace, TimeNs end) {
-  TraceRec* r = Slot(trace);
+  TraceRec* r = ring_.Find(trace);
   if (r == nullptr) {
     return;
   }
   if (r->truncated) {
     ++truncated_;
-    r->id = 0;
+    ring_.Retire(trace);
     return;
   }
   // The client completing the response IS the final edge.
@@ -303,7 +214,7 @@ void CausalTracer::Finish(uint64_t trace, TimeNs end) {
   const bool ok = r->has_class && ExtractCriticalPath(r->start, end, r->marks, &path);
   if (!ok) {
     ++critical_path_mismatches_;
-    r->id = 0;
+    ring_.Retire(trace);
     return;
   }
   const size_t ci = static_cast<size_t>(r->cls);
@@ -316,24 +227,21 @@ void CausalTracer::Finish(uint64_t trace, TimeNs end) {
   e2e_hist_[ci].Add(e2e);
   e2e_stats_[ci].Add(static_cast<double>(e2e));
   ++completed_;
-  MaybeRetainExemplar(*r, end);
+  MaybeRetainExemplar(trace, *r, end);
   if (FlightRecorder* recorder = FlightRecorder::Current()) {
-    recorder->RecordCausal(end, r->id, static_cast<uint8_t>(r->cls), e2e);
+    recorder->RecordCausal(end, trace, static_cast<uint8_t>(r->cls), e2e);
   }
-  r->id = 0;
+  ring_.Retire(trace);
 }
 
-void CausalTracer::MaybeRetainExemplar(const TraceRec& rec, TimeNs end) {
-  if (exemplars_per_class_ == 0) {
-    return;
-  }
+void CausalTracer::MaybeRetainExemplar(uint64_t id, const TraceRec& rec, TimeNs end) {
   std::vector<TraceExemplar>& pool = exemplars_[static_cast<size_t>(rec.cls)];
   const TimeNs e2e = end - rec.start;
-  if (pool.size() >= exemplars_per_class_ && e2e <= pool.back().end - pool.back().start) {
+  if (pool.size() >= kCausalExemplars && e2e <= pool.back().end - pool.back().start) {
     return;
   }
   TraceExemplar ex;
-  ex.trace_id = rec.id;
+  ex.trace_id = id;
   ex.cls = rec.cls;
   ex.start = rec.start;
   ex.end = end;
@@ -346,21 +254,16 @@ void CausalTracer::MaybeRetainExemplar(const TraceRec& rec, TimeNs end) {
     ++it;
   }
   pool.insert(it, std::move(ex));
-  if (pool.size() > exemplars_per_class_) {
+  if (pool.size() > kCausalExemplars) {
     pool.pop_back();
   }
 }
 
 void CausalTracer::Abandon(uint64_t trace) {
-  if (trace == 0 || ring_.empty()) {
-    return;
+  // Double-abandon is not an error.
+  if (ring_.Retire(trace)) {
+    ++abandoned_;
   }
-  TraceRec& r = ring_[trace & mask_];
-  if (r.id != trace) {
-    return;  // Already gone; double-abandon is not an error.
-  }
-  r.id = 0;
-  ++abandoned_;
 }
 
 namespace {

@@ -14,13 +14,11 @@
 // end-to-end time (`critical_path_mismatches` counts violations, mirroring
 // PR 5's partition invariant).
 //
-// Records live in a ring keyed by `trace_id & mask` with stale-id rejection
-// (allocated by the first BeginTrace, so an unused tracer holds none),
-// reached through the process-wide Install/Current pattern (first
-// causal-enabled TAS host installs its tracer; requests cross hosts, so one
-// tracer observes the whole path). A null Current() costs each
-// instrumentation site one load + branch, and trace ids on the wire are 0 —
-// tracing off changes no message size and no behavior.
+// Records live in a Ring (ring.h) keyed by trace id with stale-id rejection,
+// reached through ProcessWide (process_wide.h): the first causal-enabled TAS
+// host installs its tracer; requests cross hosts, so one tracer observes the
+// whole path. With tracing off, trace ids on the wire are 0 — no message
+// size and no behavior changes.
 #ifndef SRC_TRACE_CAUSAL_H_
 #define SRC_TRACE_CAUSAL_H_
 
@@ -29,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "src/trace/process_wide.h"
+#include "src/trace/ring.h"
 #include "src/util/stats.h"
 #include "src/util/time.h"
 
@@ -114,24 +114,6 @@ struct TraceExemplar {
   std::vector<CausalLink> links;
 };
 
-// --- Span-tree assembly -----------------------------------------------------
-
-// Tree over indices into the input span vector. Spans whose parent id is
-// missing (dropped by a capacity cap or a tier that died) attach under the
-// root and are counted — an orphan is a degraded tree, not an error.
-struct SpanTree {
-  struct Node {
-    size_t span = 0;  // Index into the input vector.
-    std::vector<size_t> children;  // Node indices, in input order.
-    bool orphan = false;  // Parent id was nonzero but not present.
-  };
-  std::vector<Node> nodes;  // nodes[i] describes spans[i].
-  size_t root = SIZE_MAX;   // Node index of the first parentless span.
-  size_t orphans = 0;
-};
-
-SpanTree AssembleSpanTree(const std::vector<CausalSpan>& spans);
-
 // --- Critical-path extraction ----------------------------------------------
 
 struct CriticalPathEdge {
@@ -191,14 +173,12 @@ struct CriticalPathReport {
 
 // --- Tracer -----------------------------------------------------------------
 
-class CausalTracer {
- public:
-  explicit CausalTracer(size_t trace_capacity = 1u << 13, size_t exemplars_per_class = 3);
+// Slowest finished traces retained per request class.
+inline constexpr size_t kCausalExemplars = 3;
 
-  // Process-wide active tracer (LatencyTracer pattern). Returns the
-  // previously installed tracer.
-  static CausalTracer* Install(CausalTracer* tracer);
-  static CausalTracer* Current() { return current_; }
+class CausalTracer : public ProcessWide<CausalTracer> {
+ public:
+  explicit CausalTracer(size_t trace_capacity = 1u << 13) : ring_(trace_capacity) {}
 
   // Opens a trace whose clock starts at `start`; ids are never 0. If the
   // ring slot still holds a live trace, that oldest trace is dropped.
@@ -225,8 +205,8 @@ class CausalTracer {
 
   uint64_t completed() const { return completed_; }
   uint64_t abandoned() const { return abandoned_; }
-  uint64_t dropped() const { return dropped_; }
-  uint64_t stale() const { return stale_; }
+  uint64_t dropped() const { return ring_.overwritten(); }
+  uint64_t stale() const { return ring_.stale(); }
   uint64_t truncated() const { return truncated_; }
   // Truncation attributed to the cap that was hit — which stream overflowed
   // (the satellite fix to the single opaque `truncated` counter). One trace
@@ -239,7 +219,7 @@ class CausalTracer {
   // that never got a class — 0 unless a stamp site regresses.
   uint64_t critical_path_mismatches() const { return critical_path_mismatches_; }
   // Bytes of ring storage held: 0 until the first BeginTrace.
-  size_t ring_bytes() const { return ring_.capacity() * sizeof(TraceRec); }
+  size_t ring_bytes() const { return ring_.bytes(); }
 
   const LogHistogram& edge_hist(RequestClass cls, CausalEdge edge) const {
     return edge_hist_[Idx(cls, edge)];
@@ -270,7 +250,6 @@ class CausalTracer {
   static constexpr size_t kMaxLinks = 8;
 
   struct TraceRec {
-    uint64_t id = 0;  // 0 = slot free.
     TimeNs start = 0;
     RequestClass cls = RequestClass::kHit;
     bool has_class = false;
@@ -284,15 +263,9 @@ class CausalTracer {
     return static_cast<size_t>(cls) * kNumCausalEdges + static_cast<size_t>(edge);
   }
 
-  TraceRec* Slot(uint64_t id);
-  void MaybeRetainExemplar(const TraceRec& rec, TimeNs end);
+  void MaybeRetainExemplar(uint64_t id, const TraceRec& rec, TimeNs end);
 
-  static CausalTracer* current_;
-
-  size_t mask_;
-  size_t exemplars_per_class_;
-  std::vector<TraceRec> ring_;
-  uint64_t next_trace_id_ = 1;
+  Ring<TraceRec> ring_;
   uint32_t next_span_id_ = 1;
 
   std::array<LogHistogram, kNumRequestClasses * kNumCausalEdges> edge_hist_;
@@ -303,8 +276,6 @@ class CausalTracer {
 
   uint64_t completed_ = 0;
   uint64_t abandoned_ = 0;
-  uint64_t dropped_ = 0;
-  uint64_t stale_ = 0;
   uint64_t truncated_ = 0;
   uint64_t truncated_spans_ = 0;
   uint64_t truncated_marks_ = 0;

@@ -1,28 +1,18 @@
 #include "src/trace/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "src/trace/causal.h"
 #include "src/trace/metric_registry.h"
+#include "src/trace/tracer.h"
 #include "src/util/logging.h"
 
 namespace tas {
 namespace {
 
-// Mirrors tracer.cc: microsecond timestamps with fixed three-decimal
-// nanosecond precision, so Perfetto output is byte-stable across runs.
-std::string TsUs(TimeNs t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld.%03lld", static_cast<long long>(t / 1000),
-                static_cast<long long>(t % 1000));
-  return buf;
-}
-
-constexpr int kPid = 1;
 // Recorder tracks sit above the flow tracks of the full-trace bundle
 // (kFlowTrackBase = 1<<20 there); one track per stream, the trigger's own
 // track just below them.
@@ -32,23 +22,7 @@ uint64_t StreamTrack(RecorderStream stream) {
   return kStreamTrackBase + static_cast<uint64_t>(stream);
 }
 
-size_t RingCapacity(const WatchdogConfig& config, RecorderStream stream) {
-  switch (stream) {
-    case RecorderStream::kFlow:
-      return config.flow_ring_capacity;
-    case RecorderStream::kLatency:
-      return config.latency_ring_capacity;
-    case RecorderStream::kCausal:
-      return config.causal_ring_capacity;
-    case RecorderStream::kSlo:
-      return config.slo_ring_capacity;
-  }
-  return 1;
-}
-
 }  // namespace
-
-FlightRecorder* FlightRecorder::current_ = nullptr;
 
 const char* SloKindName(SloKind kind) {
   switch (kind) {
@@ -98,29 +72,17 @@ std::vector<SloSpec> DefaultSlos() {
   return slos;
 }
 
-FlightRecorder::FlightRecorder(const WatchdogConfig& config) : config_(config) {
-  for (int s = 0; s < kNumRecorderStreams; ++s) {
-    const size_t cap = RingCapacity(config_, static_cast<RecorderStream>(s));
-    streams_[static_cast<size_t>(s)].ring.resize(cap > 0 ? cap : 1);
-  }
-}
-
-FlightRecorder* FlightRecorder::Install(FlightRecorder* recorder) {
-  FlightRecorder* previous = current_;
-  current_ = recorder;
-  return previous;
-}
+FlightRecorder::FlightRecorder(const WatchdogConfig& config)
+    : config_(config),
+      streams_{Ring<RecorderRecord>(kRecorderRingCapacity[0]),
+               Ring<RecorderRecord>(kRecorderRingCapacity[1]),
+               Ring<RecorderRecord>(kRecorderRingCapacity[2]),
+               Ring<RecorderRecord>(kRecorderRingCapacity[3])} {}
 
 void FlightRecorder::Append(RecorderStream stream, RecorderRecord rec) {
-  StreamRing& r = streams_[static_cast<size_t>(stream)];
   rec.seq = next_seq_++;
   rec.stream = stream;
-  r.ring[r.head] = rec;
-  r.head = r.head + 1 == r.ring.size() ? 0 : r.head + 1;
-  if (r.size < r.ring.size()) {
-    ++r.size;
-  }
-  ++r.recorded;
+  streams_[static_cast<size_t>(stream)].Append() = rec;
 }
 
 void FlightRecorder::RecordFlowEvent(const FlowEvent& e) {
@@ -165,14 +127,12 @@ void FlightRecorder::RecordSlo(TimeNs t, SloKind kind, double measured, bool bre
 
 std::vector<RecorderRecord> FlightRecorder::CaptureWindow(TimeNs from, TimeNs to) const {
   std::vector<RecorderRecord> out;
-  for (const StreamRing& r : streams_) {
-    const size_t start = r.size == r.ring.size() ? r.head : 0;
-    for (size_t i = 0; i < r.size; ++i) {
-      const RecorderRecord& rec = r.ring[(start + i) % r.ring.size()];
+  for (const Ring<RecorderRecord>& ring : streams_) {
+    ring.ForEach([&](const RecorderRecord& rec) {
       if (rec.t >= from && rec.t <= to) {
         out.push_back(rec);
       }
-    }
+    });
   }
   std::sort(out.begin(), out.end(), [](const RecorderRecord& x, const RecorderRecord& y) {
     if (x.t != y.t) return x.t < y.t;
@@ -181,18 +141,9 @@ std::vector<RecorderRecord> FlightRecorder::CaptureWindow(TimeNs from, TimeNs to
   return out;
 }
 
-uint64_t FlightRecorder::recorded(RecorderStream stream) const {
-  return streams_[static_cast<size_t>(stream)].recorded;
-}
-
-uint64_t FlightRecorder::overwritten(RecorderStream stream) const {
-  const StreamRing& r = streams_[static_cast<size_t>(stream)];
-  return r.recorded - r.size;
-}
-
 void FlightRecorder::Trigger(SloTrigger trigger,
                              const std::function<std::string()>& context_json) {
-  const bool write = !config_.bundle_prefix.empty() && bundles_written_ < config_.max_bundles;
+  const bool write = !config_.bundle_prefix.empty() && bundles_written_ < kMaxBundles;
   trigger.bundle = write ? bundles_written_ : -1;
   if (write) {
     const std::vector<RecorderRecord> records =
@@ -224,19 +175,14 @@ void FlightRecorder::Trigger(SloTrigger trigger,
 void FlightRecorder::WriteBundleJsonl(const std::vector<RecorderRecord>& records,
                                       std::ostream& os) const {
   for (const RecorderRecord& rec : records) {
-    os << "{\"t\":" << rec.t << ",\"seq\":" << rec.seq
+    // "append_seq", not "seq": flow records carry a wire "seq" argument.
+    os << "{\"t\":" << rec.t << ",\"append_seq\":" << rec.seq
        << ",\"stream\":\"" << RecorderStreamName(rec.stream) << '"';
     switch (rec.stream) {
       case RecorderStream::kFlow: {
         const auto type = static_cast<FlowEventType>(rec.type);
         os << ",\"type\":\"" << FlowEventTypeName(type) << "\",\"flow\":" << rec.a;
-        const char* an;
-        const char* bn;
-        const char* cn;
-        FlowEventArgNames(type, &an, &bn, &cn);
-        if (an[0] != '\0') os << ",\"" << an << "\":" << rec.b;
-        if (bn[0] != '\0') os << ",\"" << bn << "\":" << rec.c;
-        if (cn[0] != '\0') os << ",\"" << cn << "\":" << rec.d;
+        WriteFlowEventArgs(os, type, rec.b, rec.c, rec.d);
         break;
       }
       case RecorderStream::kLatency:
@@ -259,75 +205,56 @@ void FlightRecorder::WriteBundleJsonl(const std::vector<RecorderRecord>& records
 void FlightRecorder::WriteBundlePerfetto(const SloTrigger& trigger,
                                          const std::vector<RecorderRecord>& records,
                                          std::ostream& os) const {
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) {
-      os << ",\n";
-    }
-    first = false;
-  };
-  sep();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
-     << ",\"args\":{\"name\":\"flight-recorder\"}}";
+  TraceEventWriter w(os, "flight-recorder");
   // Name one track per stream that actually has records.
   std::array<bool, kNumRecorderStreams> named{};
   for (const RecorderRecord& rec : records) {
     if (!named[static_cast<size_t>(rec.stream)]) {
       named[static_cast<size_t>(rec.stream)] = true;
-      sep();
-      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
-         << ",\"tid\":" << StreamTrack(rec.stream) << ",\"args\":{\"name\":\""
-         << RecorderStreamName(rec.stream) << "\"}}";
+      w.ThreadName(StreamTrack(rec.stream), RecorderStreamName(rec.stream));
     }
   }
   // The evidence window as one span on the trigger's own track, so the
   // breach context frames everything else.
-  sep();
-  os << "{\"name\":\"" << trigger.slo << "\",\"cat\":\"slo\",\"ph\":\"X\",\"ts\":"
-     << TsUs(trigger.window_from) << ",\"dur\":"
-     << TsUs(trigger.window_to - trigger.window_from) << ",\"pid\":" << kPid
-     << ",\"tid\":" << kStreamTrackBase - 1 << ",\"args\":{\"measured\":"
-     << JsonNumber(trigger.measured) << ",\"threshold\":" << JsonNumber(trigger.threshold)
-     << "}}";
-  sep();
-  os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
-     << ",\"tid\":" << kStreamTrackBase - 1 << ",\"args\":{\"name\":\"slo-trigger\"}}";
+  w.Next() << "{\"name\":\"" << trigger.slo << "\",\"cat\":\"slo\",\"ph\":\"X\",\"ts\":"
+           << TsUs(trigger.window_from) << ",\"dur\":"
+           << TsUs(trigger.window_to - trigger.window_from) << ",\"pid\":" << kTracePid
+           << ",\"tid\":" << kStreamTrackBase - 1 << ",\"args\":{\"measured\":"
+           << JsonNumber(trigger.measured) << ",\"threshold\":" << JsonNumber(trigger.threshold)
+           << "}}";
+  w.ThreadName(kStreamTrackBase - 1, "slo-trigger");
   for (const RecorderRecord& rec : records) {
     const uint64_t track = StreamTrack(rec.stream);
     switch (rec.stream) {
       case RecorderStream::kFlow:
-        sep();
-        os << "{\"name\":\"" << FlowEventTypeName(static_cast<FlowEventType>(rec.type))
-           << "\",\"cat\":\"flow\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << TsUs(rec.t)
-           << ",\"pid\":" << kPid << ",\"tid\":" << track << ",\"args\":{\"flow\":" << rec.a
-           << "}}";
+        w.Next() << "{\"name\":\"" << FlowEventTypeName(static_cast<FlowEventType>(rec.type))
+                 << "\",\"cat\":\"flow\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << TsUs(rec.t)
+                 << ",\"pid\":" << kTracePid << ",\"tid\":" << track
+                 << ",\"args\":{\"flow\":" << rec.a << "}}";
         break;
       case RecorderStream::kLatency:
         // Packet e2e latency as a counter track (µs).
-        sep();
-        os << "{\"name\":\"e2e_us\",\"cat\":\"latency\",\"ph\":\"C\",\"ts\":" << TsUs(rec.t)
-           << ",\"pid\":" << kPid << ",\"tid\":" << track << ",\"args\":{\"e2e_us\":"
-           << JsonNumber(static_cast<double>(rec.a) / 1000.0) << "}}";
+        w.Next() << "{\"name\":\"e2e_us\",\"cat\":\"latency\",\"ph\":\"C\",\"ts\":"
+                 << TsUs(rec.t) << ",\"pid\":" << kTracePid << ",\"tid\":" << track
+                 << ",\"args\":{\"e2e_us\":" << JsonNumber(static_cast<double>(rec.a) / 1000.0)
+                 << "}}";
         break;
       case RecorderStream::kCausal:
-        sep();
-        os << "{\"name\":\"" << RequestClassName(static_cast<RequestClass>(rec.type))
-           << "\",\"cat\":\"causal\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << TsUs(rec.t)
-           << ",\"pid\":" << kPid << ",\"tid\":" << track
-           << ",\"args\":{\"e2e_us\":"
-           << JsonNumber(static_cast<double>(rec.b) / 1000.0) << "}}";
+        w.Next() << "{\"name\":\"" << RequestClassName(static_cast<RequestClass>(rec.type))
+                 << "\",\"cat\":\"causal\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << TsUs(rec.t)
+                 << ",\"pid\":" << kTracePid << ",\"tid\":" << track
+                 << ",\"args\":{\"e2e_us\":" << JsonNumber(static_cast<double>(rec.b) / 1000.0)
+                 << "}}";
         break;
       case RecorderStream::kSlo:
-        sep();
-        os << "{\"name\":\"" << SloKindName(static_cast<SloKind>(rec.type))
-           << "\",\"cat\":\"slo\",\"ph\":\"C\",\"ts\":" << TsUs(rec.t)
-           << ",\"pid\":" << kPid << ",\"tid\":" << track << ",\"args\":{\"measured\":"
-           << JsonNumber(rec.v) << "}}";
+        w.Next() << "{\"name\":\"" << SloKindName(static_cast<SloKind>(rec.type))
+                 << "\",\"cat\":\"slo\",\"ph\":\"C\",\"ts\":" << TsUs(rec.t)
+                 << ",\"pid\":" << kTracePid << ",\"tid\":" << track
+                 << ",\"args\":{\"measured\":" << JsonNumber(rec.v) << "}}";
         break;
     }
   }
-  os << "\n]}\n";
+  w.Close("}\n");
 }
 
 std::string SloTriggerToJson(const SloTrigger& trigger) {

@@ -5,12 +5,11 @@
 // re-running with full tracing on. The FlightRecorder continuously retains
 // the last W ms of four record streams — flow events, latency-anatomy
 // completions, causal-trace completions, and the watchdog's per-check SLO
-// measurements — in bounded rings using the PR 5/7 discipline:
-// fixed-capacity rings of POD records, overwrite-oldest, per-stream drop
-// counters. Every tap is a plain array write; the armed-but-untriggered cost
-// is a null/flag check per site plus that write, and nothing on the
-// simulation side changes (no CPU charges, no RNG draws, no packets) — armed
-// runs are timing-passive.
+// measurements — in one bounded Ring (ring.h) of POD records per stream:
+// fixed capacity, overwrite-oldest, per-stream drop counters. Every tap is a
+// plain array write; the armed-but-untriggered cost is a null/flag check per
+// site plus that write, and nothing on the simulation side changes (no CPU
+// charges, no RNG draws, no packets) — armed runs are timing-passive.
 //
 // On a watchdog breach (src/tas/watchdog) the recorder serializes a
 // *diagnostic bundle*: the window's merged records (JSONL + Perfetto), a full
@@ -20,9 +19,8 @@
 // bundles are serialized at the breach point, so same-seed runs produce
 // byte-identical bundles.
 //
-// Reached through the process-wide Install/Current pattern (LatencyTracer
-// precedent): the first watchdog-enabled TAS host installs the recorder;
-// every tap site in every host then feeds it.
+// Reached through ProcessWide (process_wide.h): the first watchdog-enabled
+// TAS host installs the recorder; every tap site in every host feeds it.
 #ifndef SRC_TRACE_FLIGHT_RECORDER_H_
 #define SRC_TRACE_FLIGHT_RECORDER_H_
 
@@ -33,6 +31,8 @@
 #include <vector>
 
 #include "src/trace/flow_tracer.h"
+#include "src/trace/process_wide.h"
+#include "src/trace/ring.h"
 #include "src/util/time.h"
 
 namespace tas {
@@ -73,20 +73,17 @@ struct WatchdogConfig {
   TimeNs check_interval = 0;
   // Evidence window: a trigger captures [breach - recorder_window, breach].
   TimeNs recorder_window = Ms(50);
-  // Ring capacities, one ring per stream.
-  size_t flow_ring_capacity = 1u << 14;
-  size_t latency_ring_capacity = 1u << 14;
-  size_t causal_ring_capacity = 1u << 13;
-  size_t slo_ring_capacity = 1u << 12;
   // Empty = DefaultSlos() (conservative thresholds that never fire on a
   // healthy run; see flight_recorder.cc).
   std::vector<SloSpec> slos;
   // Bundle file prefix; files are "<prefix>.bundle<k>.{json,jsonl,
   // perfetto.json}". Empty = armed in-memory only (triggers still recorded).
   std::string bundle_prefix;
-  int max_bundles = 4;         // Further triggers are recorded, not serialized.
   TimeNs cooldown = Ms(20);    // Per-SLO quiet period after a trigger.
 };
+
+// Bundles a recorder writes; further triggers are recorded, not serialized.
+inline constexpr int kMaxBundles = 4;
 
 // Returns the conservative default SLO set (used when WatchdogConfig::slos
 // is empty): generous thresholds on e2e p99, retransmit rate, slow-path
@@ -100,6 +97,10 @@ inline constexpr int kNumRecorderStreams = 4;
 
 const char* RecorderStreamName(RecorderStream stream);
 
+// Ring slots per stream, indexed by RecorderStream.
+inline constexpr std::array<size_t, kNumRecorderStreams> kRecorderRingCapacity = {
+    1u << 14, 1u << 14, 1u << 13, 1u << 12};
+
 // One retained record. POD: ring writes never allocate. The payload slots are
 // stream-typed:
 //   kFlow:    type = FlowEventType, a = flow id, b/c/d = event args a/b/c.
@@ -108,7 +109,7 @@ const char* RecorderStreamName(RecorderStream stream);
 //   kSlo:     type = SloKind, v = measured value (a = 1 if breached).
 struct RecorderRecord {
   TimeNs t = 0;
-  uint64_t seq = 0;    // Append order (total order with t).
+  uint64_t seq = 0;    // Append order across streams (total order with t).
   RecorderStream stream = RecorderStream::kFlow;
   uint8_t type = 0;
   uint64_t a = 0;
@@ -132,18 +133,14 @@ struct SloTrigger {
   TimeNs window_to = 0;   //   [t - recorder_window, t].
   std::string source;     // Breaching host, e.g. "h1".
   int bundle = -1;        // Bundle index, or -1 if not serialized (no prefix
-                          // or max_bundles exhausted).
+                          // or kMaxBundles exhausted).
 };
 
 // --- FlightRecorder ----------------------------------------------------------
 
-class FlightRecorder {
+class FlightRecorder : public ProcessWide<FlightRecorder> {
  public:
   explicit FlightRecorder(const WatchdogConfig& config);
-
-  // Process-wide active recorder (LatencyTracer::Install pattern).
-  static FlightRecorder* Install(FlightRecorder* recorder);
-  static FlightRecorder* Current() { return current_; }
 
   const WatchdogConfig& config() const { return config_; }
 
@@ -159,8 +156,12 @@ class FlightRecorder {
   std::vector<RecorderRecord> CaptureWindow(TimeNs from, TimeNs to) const;
 
   // Per-stream retention counters.
-  uint64_t recorded(RecorderStream stream) const;
-  uint64_t overwritten(RecorderStream stream) const;
+  uint64_t recorded(RecorderStream stream) const {
+    return streams_[static_cast<size_t>(stream)].recorded();
+  }
+  uint64_t overwritten(RecorderStream stream) const {
+    return streams_[static_cast<size_t>(stream)].overwritten();
+  }
 
   // --- Triggers & bundles ----------------------------------------------------
   // Records a breach and, while bundles remain (and a prefix is set), writes
@@ -174,23 +175,14 @@ class FlightRecorder {
   int bundles_written() const { return bundles_written_; }
 
  private:
-  struct StreamRing {
-    std::vector<RecorderRecord> ring;
-    size_t head = 0;  // Next write slot.
-    size_t size = 0;  // Valid records (<= capacity).
-    uint64_t recorded = 0;
-  };
-
   void Append(RecorderStream stream, RecorderRecord rec);
   void WriteBundleJsonl(const std::vector<RecorderRecord>& records, std::ostream& os) const;
   void WriteBundlePerfetto(const SloTrigger& trigger,
                            const std::vector<RecorderRecord>& records,
                            std::ostream& os) const;
 
-  static FlightRecorder* current_;
-
   WatchdogConfig config_;
-  std::array<StreamRing, kNumRecorderStreams> streams_;
+  std::array<Ring<RecorderRecord>, kNumRecorderStreams> streams_;
   uint64_t next_seq_ = 0;
 
   std::vector<SloTrigger> triggers_;

@@ -1,7 +1,6 @@
 #include "src/trace/flow_tracer.h"
 
 #include "src/trace/flight_recorder.h"
-#include "src/trace/metric_registry.h"
 #include "src/util/logging.h"
 
 namespace tas {
@@ -46,66 +45,54 @@ const TypeInfo& InfoFor(FlowEventType type) {
 
 const char* FlowEventTypeName(FlowEventType type) { return InfoFor(type).name; }
 
-void FlowEventArgNames(FlowEventType type, const char** a, const char** b, const char** c) {
+void WriteFlowEventArgs(std::ostream& os, FlowEventType type, uint64_t a, uint64_t b,
+                        uint64_t c) {
   const TypeInfo& info = InfoFor(type);
-  *a = info.a;
-  *b = info.b;
-  *c = info.c;
+  if (info.a[0] != '\0') {
+    os << ",\"" << info.a << "\":" << a;
+  }
+  if (info.b[0] != '\0') {
+    os << ",\"" << info.b << "\":" << b;
+  }
+  if (info.c[0] != '\0') {
+    os << ",\"" << info.c << "\":" << c;
+  }
 }
-
-FlowTracer::FlowTracer(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
 
 void FlowTracer::RecordSlow(TimeNs t, uint64_t flow, FlowEventType type, uint64_t a,
                             uint64_t b, uint64_t c) {
+  const FlowEvent e{t, flow, type, a, b, c};
   if (recorder_tap_) {
     if (FlightRecorder* recorder = FlightRecorder::Current()) {
-      recorder->RecordFlowEvent(FlowEvent{t, flow, type, a, b, c});
+      recorder->RecordFlowEvent(e);
     }
   }
-  if (!enabled(flow)) {
+  if (!global_) {
     return;
   }
-  if (ring_.empty()) {
-    ring_.resize(capacity_);
-  }
-  if (size_ == capacity_) {
+  bool evicted = false;
+  FlowEvent& slot = ring_.Append(&evicted);
+  if (evicted) {
     // Ring full: this write evicts the oldest record — charge ITS type.
-    ++overwritten_by_type_[static_cast<size_t>(ring_[head_].type)];
+    ++overwritten_by_type_[static_cast<size_t>(slot.type)];
   }
-  ring_[head_] = FlowEvent{t, flow, type, a, b, c};
-  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-  if (size_ < capacity_) {
-    ++size_;
-  }
-  ++recorded_;
+  slot = e;
 }
 
 std::vector<FlowEvent> FlowTracer::Events() const {
   std::vector<FlowEvent> out;
-  out.reserve(size_);
-  // Oldest record: head_ when the ring wrapped, slot 0 otherwise.
-  const size_t start = size_ == capacity_ ? head_ : 0;
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % capacity_]);
-  }
+  out.reserve(ring_.size());
+  ring_.ForEach([&out](const FlowEvent& e) { out.push_back(e); });
   return out;
 }
 
 void FlowTracer::WriteJsonl(std::ostream& os) const {
-  for (const FlowEvent& e : Events()) {
-    const TypeInfo& info = InfoFor(e.type);
-    os << "{\"t\":" << e.t << ",\"flow\":" << e.flow << ",\"type\":\"" << info.name << '"';
-    if (info.a[0] != '\0') {
-      os << ",\"" << info.a << "\":" << e.a;
-    }
-    if (info.b[0] != '\0') {
-      os << ",\"" << info.b << "\":" << e.b;
-    }
-    if (info.c[0] != '\0') {
-      os << ",\"" << info.c << "\":" << e.c;
-    }
+  ring_.ForEach([&os](const FlowEvent& e) {
+    os << "{\"t\":" << e.t << ",\"flow\":" << e.flow << ",\"type\":\""
+       << FlowEventTypeName(e.type) << '"';
+    WriteFlowEventArgs(os, e.type, e.a, e.b, e.c);
     os << "}\n";
-  }
+  });
 }
 
 }  // namespace tas

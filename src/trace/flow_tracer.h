@@ -1,23 +1,21 @@
-// Per-flow event tracer: a bounded ring of typed records stamped with
-// simulator time and flow id. The fast and slow paths emit one record per
-// interesting protocol event (handshake transitions, data/ACK tx+rx,
+// Per-flow event tracer: a bounded Ring (ring.h) of typed records stamped
+// with simulator time and flow id. The fast and slow paths emit one record
+// per interesting protocol event (handshake transitions, data/ACK tx+rx,
 // dupacks, retransmits, out-of-order handling, congestion-control updates);
 // the ring overwrites its oldest records when full, so a long run keeps the
 // most recent window at fixed memory cost.
 //
-// Tracing is off by default. It can be enabled for every flow (global) or
-// per flow id; the disabled-path cost is one inline branch per call site.
-// The ring is allocated by the first recorded event, so a host that never
-// traces holds no ring storage.
+// Tracing is off by default and, when on, covers every flow; the
+// disabled-path cost is one inline branch per call site.
 #ifndef SRC_TRACE_FLOW_TRACER_H_
 #define SRC_TRACE_FLOW_TRACER_H_
 
 #include <array>
 #include <cstdint>
 #include <ostream>
-#include <unordered_set>
 #include <vector>
 
+#include "src/trace/ring.h"
 #include "src/util/time.h"
 
 namespace tas {
@@ -51,8 +49,13 @@ enum class FlowEventType : uint8_t {
 
 // Stable lower_snake name used in JSONL/Perfetto output.
 const char* FlowEventTypeName(FlowEventType type);
-// Names for the generic a/b/c payload slots of this event type.
-void FlowEventArgNames(FlowEventType type, const char** a, const char** b, const char** c);
+// Writes the a/b/c payload slots this event type uses as typed JSON
+// members, each with a leading comma: ,"seq":17,"len":1448,"tx_sent":2896
+void WriteFlowEventArgs(std::ostream& os, FlowEventType type, uint64_t a, uint64_t b,
+                        uint64_t c);
+
+// Ring slots of a FlowTracer.
+inline constexpr size_t kFlowEventCapacity = 1u << 16;
 
 struct FlowEvent {
   TimeNs t = 0;
@@ -65,29 +68,20 @@ struct FlowEvent {
 
 class FlowTracer {
  public:
-  explicit FlowTracer(size_t capacity = 1u << 16);
+  explicit FlowTracer(size_t capacity = kFlowEventCapacity) : ring_(capacity) {}
 
-  // Global switch: record events for every flow.
+  // Records events for every flow.
   void SetGlobal(bool enabled) { global_ = enabled; }
   bool global() const { return global_; }
-  // Per-flow opt-in (effective when the global switch is off).
-  void EnableFlow(uint64_t flow) { per_flow_.insert(flow); }
 
   // Forward every event to the process-wide FlightRecorder (flight_recorder.h)
   // in addition to (and independent of) this tracer's own ring. The recorder
-  // tap sees all flows even when neither global nor per-flow tracing is on.
+  // tap sees all flows even when global tracing is off.
   void SetRecorderTap(bool enabled) { recorder_tap_ = enabled; }
-
-  // True if any Record call could store something — call sites may use this
-  // to skip argument marshalling, but Record itself is safe to call always.
-  bool active() const { return global_ || recorder_tap_ || !per_flow_.empty(); }
-  bool enabled(uint64_t flow) const {
-    return global_ || (!per_flow_.empty() && per_flow_.count(flow) != 0);
-  }
 
   void Record(TimeNs t, uint64_t flow, FlowEventType type, uint64_t a = 0, uint64_t b = 0,
               uint64_t c = 0) {
-    if (!global_ && !recorder_tap_ && per_flow_.empty()) {
+    if (!global_ && !recorder_tap_) {
       return;
     }
     RecordSlow(t, flow, type, a, b, c);
@@ -95,13 +89,13 @@ class FlowTracer {
 
   // Records currently retained, oldest first (ring order).
   std::vector<FlowEvent> Events() const;
-  size_t size() const { return size_; }
-  size_t capacity() const { return capacity_; }
+  size_t size() const { return ring_.size(); }
+  size_t capacity() const { return ring_.capacity(); }
   // Bytes of ring storage held: 0 until the first recorded event.
-  size_t ring_bytes() const { return ring_.capacity() * sizeof(FlowEvent); }
-  uint64_t recorded() const { return recorded_; }
+  size_t ring_bytes() const { return ring_.bytes(); }
+  uint64_t recorded() const { return ring_.recorded(); }
   // Records overwritten because the ring wrapped.
-  uint64_t overwritten() const { return recorded_ - size_; }
+  uint64_t overwritten() const { return ring_.overwritten(); }
   // Overwrites attributed to the event type that was LOST (the overwritten
   // record's type, not the incoming one) — tells ring-sizing which stream
   // actually overflowed.
@@ -117,14 +111,9 @@ class FlowTracer {
   void RecordSlow(TimeNs t, uint64_t flow, FlowEventType type, uint64_t a, uint64_t b,
                   uint64_t c);
 
-  size_t capacity_;
   bool global_ = false;
   bool recorder_tap_ = false;
-  std::unordered_set<uint64_t> per_flow_;
-  std::vector<FlowEvent> ring_;
-  size_t head_ = 0;  // Next write slot.
-  size_t size_ = 0;  // Valid records (<= capacity).
-  uint64_t recorded_ = 0;
+  Ring<FlowEvent> ring_;
   std::array<uint64_t, kNumFlowEventTypes> overwritten_by_type_ = {};
 };
 

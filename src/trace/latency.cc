@@ -8,8 +8,6 @@
 
 namespace tas {
 
-LatencyTracer* LatencyTracer::current_ = nullptr;
-
 const char* LatencyStageName(LatencyStage stage) {
   switch (stage) {
     case LatencyStage::kCtxQueue:
@@ -45,46 +43,16 @@ bool LatencyStageIsQueue(LatencyStage stage) {
   return false;
 }
 
-LatencyTracer::LatencyTracer(size_t ring_capacity) {
-  size_t cap = 1;
-  while (cap < ring_capacity) {
-    cap <<= 1;
-  }
-  mask_ = cap - 1;
-}
-
-LatencyTracer* LatencyTracer::Install(LatencyTracer* tracer) {
-  LatencyTracer* previous = current_;
-  current_ = tracer;
-  return previous;
-}
-
 uint64_t LatencyTracer::Begin(TimeNs start) {
-  if (ring_.empty()) {
-    ring_.resize(mask_ + 1);
-  }
-  const uint64_t id = next_id_++;
-  Record& r = ring_[id & mask_];
-  if (r.id != 0) {
-    // Ring wrapped onto a record that never finished: the oldest in-flight
-    // record is dropped; its late stamps will fail the id check (stale).
-    ++overwritten_;
-  }
-  r.id = id;
-  r.start = start;
-  r.last = start;
-  r.touched = 0;
-  r.stage_ns.fill(0);
-  return id;
+  // Wrapping onto a record that never finished drops that oldest in-flight
+  // record (counted overwritten); its late stamps then fail the id check.
+  ring_.Append() = Record{start, start, 0, {}};
+  return ring_.recorded();
 }
 
 void LatencyTracer::Stamp(uint64_t id, LatencyStage stage, TimeNs now) {
-  if (id == 0) {
-    return;
-  }
-  Record* r = Slot(id);
+  Record* r = ring_.Find(id);
   if (r == nullptr) {
-    ++stale_;
     return;
   }
   const size_t i = static_cast<size_t>(stage);
@@ -94,12 +62,8 @@ void LatencyTracer::Stamp(uint64_t id, LatencyStage stage, TimeNs now) {
 }
 
 void LatencyTracer::Finish(uint64_t id, LatencyStage stage, TimeNs now) {
-  if (id == 0) {
-    return;
-  }
-  Record* r = Slot(id);
+  Record* r = ring_.Find(id);
   if (r == nullptr) {
-    ++stale_;
     return;
   }
   const size_t fi = static_cast<size_t>(stage);
@@ -136,7 +100,7 @@ void LatencyTracer::Finish(uint64_t id, LatencyStage stage, TimeNs now) {
   service_hist_.Add(service_ns);
   service_stats_.Add(static_cast<double>(service_ns));
   ++completed_;
-  r->id = 0;
+  ring_.Retire(id);
 
   if (FlightRecorder* recorder = FlightRecorder::Current()) {
     recorder->RecordLatency(now, e2e, queue_ns, service_ns);
@@ -144,15 +108,10 @@ void LatencyTracer::Finish(uint64_t id, LatencyStage stage, TimeNs now) {
 }
 
 void LatencyTracer::Abandon(uint64_t id) {
-  if (id == 0) {
-    return;
+  // Dropping an already-dead record again is not an error.
+  if (ring_.Retire(id)) {
+    ++abandoned_;
   }
-  Record* r = Slot(id);
-  if (r == nullptr) {
-    return;  // Already gone; dropping a dead record twice is not an error.
-  }
-  r->id = 0;
-  ++abandoned_;
 }
 
 namespace {

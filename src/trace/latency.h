@@ -3,16 +3,13 @@
 // context-queue wait, fast-path TX service, egress-buffer wait, wire time,
 // switch queueing, NIC RX ring wait, and receive-side processing.
 //
-// Records live in a side ring keyed by a generation id the packet carries
+// Records live in a side Ring (ring.h) keyed by the id the packet carries
 // (Packet::lat_id), NOT in Packet itself: pooled packets stay small, and an
 // overflowing ring overwrites the oldest record without corrupting newer
-// ones (the id check rejects stale stamps). The ring is allocated by the
-// first Begin, so a tracer that never opens a record holds no ring storage.
-// Stamp sites take the current
+// ones (the id check rejects stale stamps). Stamp sites take the current
 // simulation time explicitly, so this module depends only on src/util and
-// sits below src/net in the link order; devices reach the active tracer via
-// the process-wide Install/Current pattern PacketPool established. When no
-// tracer is installed every instrumentation site costs one load + branch.
+// sits below src/net in the link order; devices reach the active tracer
+// through ProcessWide (process_wide.h).
 //
 // Stage accounting is interval-ends-here: each Stamp(stage, now) charges
 // [last_stamp, now) to `stage` and advances the cursor, so a packet crossing
@@ -27,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "src/trace/process_wide.h"
+#include "src/trace/ring.h"
 #include "src/util/stats.h"
 #include "src/util/time.h"
 
@@ -80,16 +79,12 @@ struct LatencyReport {
   std::string ToTable() const;
 };
 
-class LatencyTracer {
+class LatencyTracer : public ProcessWide<LatencyTracer> {
  public:
-  explicit LatencyTracer(size_t ring_capacity = 1u << 12);
-
-  // Process-wide active tracer (PacketPool::Install pattern). The TAS host
-  // whose TraceConfig enables latency_stages installs its tracer; every
-  // stamp site in every device then feeds it, so a record follows the packet
-  // across hosts. Returns the previously installed tracer.
-  static LatencyTracer* Install(LatencyTracer* tracer);
-  static LatencyTracer* Current() { return current_; }
+  // The TAS host whose TraceConfig enables latency_stages installs its
+  // tracer as Current(); every stamp site in every device then feeds it, so
+  // a record follows the packet across hosts.
+  explicit LatencyTracer(size_t ring_capacity = 1u << 12) : ring_(ring_capacity) {}
 
   // Opens a record whose clock starts at `start` (ids are never 0, so a
   // Packet::lat_id of 0 means "untracked"). If the ring slot still holds an
@@ -105,13 +100,13 @@ class LatencyTracer {
 
   uint64_t completed() const { return completed_; }
   uint64_t abandoned() const { return abandoned_; }
-  uint64_t overwritten() const { return overwritten_; }
-  uint64_t stale() const { return stale_; }
+  uint64_t overwritten() const { return ring_.overwritten(); }
+  uint64_t stale() const { return ring_.stale(); }
   // Records whose folded stage intervals failed to sum to their end-to-end
   // time — always 0 unless a stamp site regresses (latency_test asserts it).
   uint64_t partition_mismatches() const { return partition_mismatches_; }
   // Bytes of ring storage held: 0 until the first Begin.
-  size_t ring_bytes() const { return ring_.capacity() * sizeof(Record); }
+  size_t ring_bytes() const { return ring_.bytes(); }
 
   const LogHistogram& stage_hist(LatencyStage stage) const {
     return stage_hist_[static_cast<size_t>(stage)];
@@ -128,26 +123,13 @@ class LatencyTracer {
 
  private:
   struct Record {
-    uint64_t id = 0;  // 0 = slot free.
     TimeNs start = 0;
     TimeNs last = 0;
     uint32_t touched = 0;  // Bitmask of stamped stages.
     std::array<uint64_t, kNumLatencyStages> stage_ns{};
   };
 
-  Record* Slot(uint64_t id) {
-    if (ring_.empty()) {
-      return nullptr;  // Never begun: every id belongs to another tracer.
-    }
-    Record& r = ring_[id & mask_];
-    return r.id == id ? &r : nullptr;
-  }
-
-  static LatencyTracer* current_;
-
-  size_t mask_;
-  std::vector<Record> ring_;
-  uint64_t next_id_ = 1;
+  Ring<Record> ring_;
 
   std::array<LogHistogram, kNumLatencyStages> stage_hist_;
   std::array<RunningStats, kNumLatencyStages> stage_stats_;
@@ -161,8 +143,6 @@ class LatencyTracer {
 
   uint64_t completed_ = 0;
   uint64_t abandoned_ = 0;
-  uint64_t overwritten_ = 0;
-  uint64_t stale_ = 0;
   uint64_t partition_mismatches_ = 0;
 };
 

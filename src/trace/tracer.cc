@@ -2,14 +2,18 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 
 #include "src/util/logging.h"
 
 namespace tas {
 namespace {
 
-// Chrome trace-event timestamps are microseconds; keep nanosecond precision
-// with three decimals. Fixed-format so output is byte-stable across runs.
+// Flow tracks sit far above any simulated core id.
+constexpr uint64_t kFlowTrackBase = 1u << 20;
+
+}  // namespace
+
 std::string TsUs(TimeNs t) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%lld.%03lld", static_cast<long long>(t / 1000),
@@ -17,27 +21,39 @@ std::string TsUs(TimeNs t) {
   return buf;
 }
 
-constexpr int kPid = 1;
-// Flow tracks sit far above any simulated core id.
-constexpr uint64_t kFlowTrackBase = 1u << 20;
+TraceEventWriter::TraceEventWriter(std::ostream& os, const char* process_name) : os_(os) {
+  os_ << "{\"traceEvents\":[\n";
+  Next() << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kTracePid
+         << ",\"args\":{\"name\":\"" << process_name << "\"}}";
+}
 
-}  // namespace
+std::ostream& TraceEventWriter::Next() {
+  if (!first_) {
+    os_ << ",\n";
+  }
+  first_ = false;
+  return os_;
+}
+
+void TraceEventWriter::ThreadName(uint64_t tid, const std::string& name) {
+  Next() << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kTracePid
+         << ",\"tid\":" << tid << ",\"args\":{\"name\":";
+  JsonEscape(name, os_);
+  os_ << "}}";
+}
+
+void TraceEventWriter::Close(const char* tail) { os_ << "\n]" << tail; }
 
 Tracer::Tracer(Simulator* sim, const TraceConfig& config)
-    : config_(config),
-      flow_events_(config.flow_event_capacity),
-      sampler_(sim),
-      spans_(config.span_capacity),
-      latency_(config.latency_ring_capacity),
-      causal_(config.causal_trace_capacity, config.causal_exemplars) {
+    : config_(config), sampler_(sim), causal_(config.causal_trace_capacity) {
   flow_events_.SetGlobal(config.flow_events);
   spans_.SetEnabled(config.cpu_spans);
   if (config.causal) {
     // Pre-register one track per retained exemplar slot so the slowest trace
     // trees land on stable, named Perfetto tracks.
-    exemplar_tracks_.reserve(kNumRequestClasses * config.causal_exemplars);
+    exemplar_tracks_.reserve(kNumRequestClasses * kCausalExemplars);
     for (int cls = 0; cls < kNumRequestClasses; ++cls) {
-      for (size_t i = 0; i < config.causal_exemplars; ++i) {
+      for (size_t i = 0; i < kCausalExemplars; ++i) {
         exemplar_tracks_.push_back(spans_.RegisterTrack(
             "critpath-" + std::string(RequestClassName(static_cast<RequestClass>(cls))) + "-" +
             std::to_string(i)));
@@ -47,69 +63,30 @@ Tracer::Tracer(Simulator* sim, const TraceConfig& config)
 }
 
 void Tracer::WritePerfettoJson(std::ostream& os) const {
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) {
-      os << ",\n";
-    }
-    first = false;
-  };
-
-  sep();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
-     << ",\"args\":{\"name\":\"tas\"}}";
-
+  TraceEventWriter w(os, "tas");
   for (const auto& [track, name] : spans_.track_names()) {
-    sep();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid << ",\"tid\":" << track
-       << ",\"args\":{\"name\":";
-    JsonEscape(name, os);
-    os << "}}";
+    w.ThreadName(static_cast<uint64_t>(track), name);
   }
 
   // CPU busy spans as complete ("X") events.
   for (const TraceSpan& span : spans_.spans()) {
-    sep();
-    os << "{\"name\":\"" << span.name << "\",\"cat\":\"cpu\",\"ph\":\"X\",\"ts\":"
-       << TsUs(span.start) << ",\"dur\":" << TsUs(span.end - span.start)
-       << ",\"pid\":" << kPid << ",\"tid\":" << span.track << "}";
+    w.Next() << "{\"name\":\"" << span.name << "\",\"cat\":\"cpu\",\"ph\":\"X\",\"ts\":"
+             << TsUs(span.start) << ",\"dur\":" << TsUs(span.end - span.start)
+             << ",\"pid\":" << kTracePid << ",\"tid\":" << span.track << "}";
   }
 
   // Flow events as instant ("i") events, one synthetic track per flow.
-  std::vector<uint64_t> named_flows;
+  std::set<uint64_t> named_flows;
   for (const FlowEvent& e : flow_events_.Events()) {
     const uint64_t track = kFlowTrackBase + e.flow;
-    bool seen = false;
-    for (uint64_t f : named_flows) {
-      if (f == e.flow) {
-        seen = true;
-        break;
-      }
+    if (named_flows.insert(e.flow).second) {
+      w.ThreadName(track, "flow-" + std::to_string(e.flow));
     }
-    if (!seen) {
-      named_flows.push_back(e.flow);
-      sep();
-      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid << ",\"tid\":" << track
-         << ",\"args\":{\"name\":\"flow-" << e.flow << "\"}}";
-    }
-    sep();
-    os << "{\"name\":\"" << FlowEventTypeName(e.type)
-       << "\",\"cat\":\"flow\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << TsUs(e.t)
-       << ",\"pid\":" << kPid << ",\"tid\":" << track << ",\"args\":{\"flow\":" << e.flow;
-    const char* an;
-    const char* bn;
-    const char* cn;
-    FlowEventArgNames(e.type, &an, &bn, &cn);
-    if (an[0] != '\0') {
-      os << ",\"" << an << "\":" << e.a;
-    }
-    if (bn[0] != '\0') {
-      os << ",\"" << bn << "\":" << e.b;
-    }
-    if (cn[0] != '\0') {
-      os << ",\"" << cn << "\":" << e.c;
-    }
+    w.Next() << "{\"name\":\"" << FlowEventTypeName(e.type)
+             << "\",\"cat\":\"flow\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << TsUs(e.t)
+             << ",\"pid\":" << kTracePid << ",\"tid\":" << track
+             << ",\"args\":{\"flow\":" << e.flow;
+    WriteFlowEventArgs(os, e.type, e.a, e.b, e.c);
     os << "}}";
   }
 
@@ -137,16 +114,15 @@ void Tracer::WritePerfettoJson(std::ostream& os) const {
       const TimeNs start = it->second;
       pending_retx.erase(it);
       const uint64_t track = kFlowTrackBase + e.flow;
-      sep();
-      os << "{\"name\":\"loss_recovery\",\"cat\":\"recovery\",\"ph\":\"X\",\"ts\":"
-         << TsUs(start) << ",\"dur\":" << TsUs(e.t - start) << ",\"pid\":" << kPid
-         << ",\"tid\":" << track << "}";
-      sep();
-      os << "{\"name\":\"retx_recovery\",\"cat\":\"recovery\",\"ph\":\"s\",\"id\":" << arrow_id
-         << ",\"ts\":" << TsUs(start) << ",\"pid\":" << kPid << ",\"tid\":" << track << "}";
-      sep();
-      os << "{\"name\":\"retx_recovery\",\"cat\":\"recovery\",\"ph\":\"t\",\"id\":" << arrow_id
-         << ",\"ts\":" << TsUs(e.t) << ",\"pid\":" << kPid << ",\"tid\":" << track << "}";
+      w.Next() << "{\"name\":\"loss_recovery\",\"cat\":\"recovery\",\"ph\":\"X\",\"ts\":"
+               << TsUs(start) << ",\"dur\":" << TsUs(e.t - start) << ",\"pid\":" << kTracePid
+               << ",\"tid\":" << track << "}";
+      w.Next() << "{\"name\":\"retx_recovery\",\"cat\":\"recovery\",\"ph\":\"s\",\"id\":"
+               << arrow_id << ",\"ts\":" << TsUs(start) << ",\"pid\":" << kTracePid
+               << ",\"tid\":" << track << "}";
+      w.Next() << "{\"name\":\"retx_recovery\",\"cat\":\"recovery\",\"ph\":\"t\",\"id\":"
+               << arrow_id << ",\"ts\":" << TsUs(e.t) << ",\"pid\":" << kTracePid
+               << ",\"tid\":" << track << "}";
       ++arrow_id;
     }
   }
@@ -158,36 +134,34 @@ void Tracer::WritePerfettoJson(std::ostream& os) const {
     std::map<uint64_t, size_t> exported;  // trace id -> exemplar track index.
     for (int cls = 0; cls < kNumRequestClasses; ++cls) {
       const auto& exs = causal_.exemplars(static_cast<RequestClass>(cls));
-      for (size_t i = 0; i < exs.size() && i < config_.causal_exemplars; ++i) {
-        const size_t slot = static_cast<size_t>(cls) * config_.causal_exemplars + i;
+      for (size_t i = 0; i < exs.size(); ++i) {
+        const size_t slot = static_cast<size_t>(cls) * kCausalExemplars + i;
         exported.emplace(exs[i].trace_id, slot);
         const int track = exemplar_tracks_[slot];
         for (const CausalSpan& span : exs[i].spans) {
           // A span that was never closed (its tier died) renders to the
           // trace end so the hole is visible rather than zero-width.
           const TimeNs end = span.end != 0 ? span.end : exs[i].end;
-          sep();
-          os << "{\"name\":\"" << CausalSpanKindName(span.kind)
-             << "\",\"cat\":\"critpath\",\"ph\":\"X\",\"ts\":" << TsUs(span.start)
-             << ",\"dur\":" << TsUs(end - span.start) << ",\"pid\":" << kPid
-             << ",\"tid\":" << track << ",\"args\":{\"trace\":" << exs[i].trace_id
-             << ",\"span\":" << span.id << ",\"object\":" << span.object_id
-             << ",\"request\":" << span.request_id << (span.end == 0 ? ",\"open\":1" : "")
-             << "}}";
+          w.Next() << "{\"name\":\"" << CausalSpanKindName(span.kind)
+                   << "\",\"cat\":\"critpath\",\"ph\":\"X\",\"ts\":" << TsUs(span.start)
+                   << ",\"dur\":" << TsUs(end - span.start) << ",\"pid\":" << kTracePid
+                   << ",\"tid\":" << track << ",\"args\":{\"trace\":" << exs[i].trace_id
+                   << ",\"span\":" << span.id << ",\"object\":" << span.object_id
+                   << ",\"request\":" << span.request_id << (span.end == 0 ? ",\"open\":1" : "")
+                   << "}}";
         }
         for (const CausalMark& mark : exs[i].marks) {
-          sep();
-          os << "{\"name\":\"" << CausalEdgeName(mark.edge)
-             << "\",\"cat\":\"critpath\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << TsUs(mark.t)
-             << ",\"pid\":" << kPid << ",\"tid\":" << track << "}";
+          w.Next() << "{\"name\":\"" << CausalEdgeName(mark.edge)
+                   << "\",\"cat\":\"critpath\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << TsUs(mark.t)
+                   << ",\"pid\":" << kTracePid << ",\"tid\":" << track << "}";
         }
       }
     }
     uint64_t link_id = 1u << 20;  // Distinct id space from the retx arrows.
     for (const auto& [trace_id, slot] : exported) {
       const auto& exs =
-          causal_.exemplars(static_cast<RequestClass>(slot / config_.causal_exemplars));
-      const TraceExemplar& ex = exs[slot % config_.causal_exemplars];
+          causal_.exemplars(static_cast<RequestClass>(slot / kCausalExemplars));
+      const TraceExemplar& ex = exs[slot % kCausalExemplars];
       for (const CausalLink& link : ex.links) {
         auto from = exported.find(link.from_trace);
         if (from == exported.end()) {
@@ -202,14 +176,12 @@ void Tracer::WritePerfettoJson(std::ostream& os) const {
             break;
           }
         }
-        sep();
-        os << "{\"name\":\"coalesced_from\",\"cat\":\"critpath\",\"ph\":\"s\",\"id\":" << link_id
-           << ",\"ts\":" << TsUs(when) << ",\"pid\":" << kPid
-           << ",\"tid\":" << exemplar_tracks_[from->second] << "}";
-        sep();
-        os << "{\"name\":\"coalesced_from\",\"cat\":\"critpath\",\"ph\":\"t\",\"id\":" << link_id
-           << ",\"ts\":" << TsUs(when) << ",\"pid\":" << kPid
-           << ",\"tid\":" << exemplar_tracks_[slot] << "}";
+        w.Next() << "{\"name\":\"coalesced_from\",\"cat\":\"critpath\",\"ph\":\"s\",\"id\":"
+                 << link_id << ",\"ts\":" << TsUs(when) << ",\"pid\":" << kTracePid
+                 << ",\"tid\":" << exemplar_tracks_[from->second] << "}";
+        w.Next() << "{\"name\":\"coalesced_from\",\"cat\":\"critpath\",\"ph\":\"t\",\"id\":"
+                 << link_id << ",\"ts\":" << TsUs(when) << ",\"pid\":" << kTracePid
+                 << ",\"tid\":" << exemplar_tracks_[slot] << "}";
         ++link_id;
       }
     }
@@ -218,15 +190,14 @@ void Tracer::WritePerfettoJson(std::ostream& os) const {
   // Time series as counter ("C") tracks.
   for (const auto& series : sampler_.series()) {
     for (const auto& [t, v] : series->points()) {
-      sep();
-      os << "{\"name\":";
+      w.Next() << "{\"name\":";
       JsonEscape(series->name(), os);
-      os << ",\"ph\":\"C\",\"ts\":" << TsUs(t) << ",\"pid\":" << kPid
+      os << ",\"ph\":\"C\",\"ts\":" << TsUs(t) << ",\"pid\":" << kTracePid
          << ",\"args\":{\"value\":" << JsonNumber(v) << "}}";
     }
   }
 
-  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  w.Close(",\"displayTimeUnit\":\"ms\"}\n");
 }
 
 bool Tracer::WriteAll(const std::string& prefix) const {
@@ -268,7 +239,7 @@ bool Tracer::WriteAll(const std::string& prefix) const {
   if (spans_.dropped() > 0 || lost_records > 0) {
     TAS_LOG_WARN << "trace export truncated: " << spans_.dropped() << " spans dropped, "
                  << lost_records
-                 << " records overwritten (raise the trace ring capacities to keep them)";
+                 << " records overwritten (the rings keep the newest records)";
   }
   return true;
 }

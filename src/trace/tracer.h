@@ -27,33 +27,29 @@ namespace tas {
 
 // Knobs carried by TasConfig::trace (and usable standalone). Everything is
 // off by default; a default-constructed Tracer costs one branch per
-// instrumentation site.
+// instrumentation site. Ring and series sizes are constants (DESIGN.md §7):
+// kFlowEventCapacity flow events, 1 << 16 CPU spans, 4096 points per series,
+// 1 << 12 latency records and kCausalExemplars exemplars per request class.
 struct TraceConfig {
-  // Per-flow protocol events for ALL flows (FlowTracer::EnableFlow opts in
-  // individual flows when this is false).
+  // Per-flow protocol events for all flows.
   bool flow_events = false;
-  size_t flow_event_capacity = 1u << 16;
   // CPU busy spans (per-core Charge intervals + slow-path control loops).
   bool cpu_spans = false;
-  size_t span_capacity = 1u << 16;
   // Periodic sampling of registered probes; 0 disables the sweep task.
   TimeNs sample_period = 0;
   // Also sample per-flow cc rate/window, bytes in flight, and buffer
   // occupancy into one series per live flow (needs sample_period > 0).
   bool sample_flows = false;
-  size_t series_max_points = 4096;
   // Per-packet latency anatomy (src/trace/latency): stage stamps in a side
   // ring, folded into per-stage histograms. The first TasService constructed
   // with this on installs its host's LatencyTracer as the global stamp sink
   // (packet journeys cross hosts, so one tracer observes the whole path).
   bool latency_stages = false;
-  size_t latency_ring_capacity = 1u << 12;
   // Request-level causal tracing (src/trace/causal, DESIGN.md §12). Install
   // discipline mirrors latency_stages: the first causal-enabled TasService
   // installs its CausalTracer process-wide.
   bool causal = false;
   size_t causal_trace_capacity = 1u << 13;
-  size_t causal_exemplars = 3;  // Slowest trace trees kept per request class.
 };
 
 // One contiguous busy interval on a track (track = simulated core id, or a
@@ -63,28 +59,6 @@ struct TraceSpan {
   const char* name = "";  // Must point at static storage.
   TimeNs start = 0;
   TimeNs end = 0;
-};
-
-// Allocates synthetic track ids for logical tracks (request spans, exemplar
-// trace trees, ...). Simulated core ids and the slow-path control track are
-// assigned statically below kFirstTrack, so registered tracks never collide
-// with them; every registered track gets thread-name metadata in the
-// Perfetto export.
-class TrackRegistry {
- public:
-  static constexpr int kFirstTrack = 2000;
-
-  int Register(std::string name) {
-    const int track = next_track_++;
-    names_.emplace(track, std::move(name));
-    return track;
-  }
-
-  const std::map<int, std::string>& names() const { return names_; }
-
- private:
-  int next_track_ = kFirstTrack;
-  std::map<int, std::string> names_;  // Ordered for deterministic export.
 };
 
 class SpanRecorder {
@@ -109,10 +83,12 @@ class SpanRecorder {
   // tracks: core ids, the slow-path control loop).
   void SetTrackName(int track, std::string name) { track_names_[track] = std::move(name); }
 
-  // Allocates a fresh synthetic track and names it. Use instead of a
-  // hardcoded track constant so logical tracks cannot collide.
+  // Allocates a fresh synthetic track (request spans, exemplar trace trees)
+  // and names it. Ids start at kFirstTrack, above the simulated core ids and
+  // the slow-path control track, so logical tracks cannot collide with them.
+  static constexpr int kFirstTrack = 2000;
   int RegisterTrack(std::string name) {
-    const int track = registry_.Register(name);
+    const int track = next_track_++;
     track_names_[track] = std::move(name);
     return track;
   }
@@ -124,7 +100,7 @@ class SpanRecorder {
  private:
   bool enabled_ = false;
   size_t capacity_;
-  TrackRegistry registry_;
+  int next_track_ = kFirstTrack;
   std::vector<TraceSpan> spans_;
   std::map<int, std::string> track_names_;  // Ordered for deterministic export.
   uint64_t dropped_ = 0;
@@ -172,9 +148,32 @@ class Tracer {
   SpanRecorder spans_;
   LatencyTracer latency_;
   CausalTracer causal_;
-  // Track ids for exemplar trace trees, indexed cls * causal_exemplars + i.
+  // Track ids for exemplar trace trees, indexed cls * kCausalExemplars + i.
   std::vector<int> exemplar_tracks_;
 };
+
+// Chrome trace-event writer shared by the Perfetto exporters (the Tracer's
+// and the flight recorder's bundles): array framing, separators and
+// process/thread-name metadata, all fixed-format so exports are byte-stable.
+class TraceEventWriter {
+ public:
+  // Opens the event array and names process kTracePid.
+  TraceEventWriter(std::ostream& os, const char* process_name);
+  // Starts the next event; returns the stream to write it to.
+  std::ostream& Next();
+  void ThreadName(uint64_t tid, const std::string& name);
+  // Closes the event array; `tail` ends the enclosing object.
+  void Close(const char* tail);
+
+ private:
+  std::ostream& os_;
+  bool first_ = true;
+};
+
+inline constexpr int kTracePid = 1;
+// Chrome trace-event timestamps are microseconds; keeps nanosecond
+// precision with three fixed decimals.
+std::string TsUs(TimeNs t);
 
 // Registers the simulator's dispatch metrics (events executed, pending
 // events, pending high-water mark) under the "sim." prefix.

@@ -24,6 +24,8 @@ class JsonValue {
   const std::string& str() const { return string_; }
   // Array elements, or object member values in document order.
   const std::vector<JsonValue>& items() const { return items_; }
+  // Object member keys in document order, parallel to items().
+  const std::vector<std::string>& keys() const { return keys_; }
 
   // Object member `key` (the first one, if the document repeats it);
   // nullptr when absent or when this is not an object.

@@ -1,9 +1,9 @@
 // Tests for the unified tracing & metrics layer (src/trace) — the registry,
-// flow-event tracer, time-series sampler, span recorder, exporters — and for
-// the end-to-end wiring: a lossy TAS transfer must emit handshake,
-// retransmit and cc-update events in order with monotone timestamps, produce
-// syntactically valid Perfetto/JSONL output, and be byte-identical across
-// two same-seed runs.
+// the one ring, flow-event tracer, time-series sampler, span recorder,
+// exporters — and for the end-to-end wiring: a lossy TAS transfer must emit
+// handshake, retransmit and cc-update events in order with monotone
+// timestamps, produce syntactically valid Perfetto/JSONL output, and be
+// byte-identical across two same-seed runs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +13,7 @@
 
 #include "src/app/bulk.h"
 #include "src/harness/experiment.h"
+#include "src/trace/ring.h"
 #include "src/trace/tracer.h"
 #include "src/util/json.h"
 
@@ -89,6 +90,53 @@ TEST(TimeSeriesTest, DecimatesDeterministically) {
   EXPECT_EQ(series.points(), again.points());
 }
 
+TEST(RingTest, GenerationCheckedOverwriteOldest) {
+  // Capacity rounds up to a power of two; storage waits for the first write.
+  Ring<int> ring(5);
+  EXPECT_EQ(ring.capacity(), 8u);
+  EXPECT_EQ(Ring<int>(8).capacity(), 8u);
+  EXPECT_EQ(Ring<int>(0).capacity(), 1u);
+  EXPECT_EQ(ring.bytes(), 0u);
+  EXPECT_EQ(ring.Find(1), nullptr);  // Never written: stale.
+  EXPECT_EQ(ring.stale(), 1u);
+  EXPECT_EQ(ring.bytes(), 0u);
+
+  // Ids are the append count; twelve appends overwrite the oldest four.
+  for (int i = 1; i <= 12; ++i) {
+    bool evicted = true;
+    ring.Append(&evicted) = i * 10;
+    EXPECT_EQ(ring.recorded(), static_cast<uint64_t>(i));
+    EXPECT_EQ(evicted, i > 8);
+  }
+  EXPECT_GT(ring.bytes(), 0u);
+  EXPECT_EQ(ring.size(), 8u);
+  EXPECT_EQ(ring.overwritten(), 4u);
+  std::vector<int> kept;
+  ring.ForEach([&kept](int v) { kept.push_back(v); });
+  EXPECT_EQ(kept, (std::vector<int>{50, 60, 70, 80, 90, 100, 110, 120}));
+
+  // Id 4 shares id 12's slot: rejected as stale, never aliased.
+  EXPECT_EQ(ring.Find(4), nullptr);
+  EXPECT_EQ(ring.stale(), 2u);
+  ASSERT_NE(ring.Find(12), nullptr);
+  EXPECT_EQ(*ring.Find(12), 120);
+  EXPECT_FALSE(ring.Retire(4));
+
+  // Id 0 is "untracked": ignored, not stale.
+  EXPECT_EQ(ring.Find(0), nullptr);
+  EXPECT_FALSE(ring.Retire(0));
+  EXPECT_EQ(ring.stale(), 2u);
+
+  // A retired record is gone, and appending over its slot drops nothing.
+  EXPECT_TRUE(ring.Retire(5));
+  EXPECT_FALSE(ring.Retire(5));
+  EXPECT_EQ(ring.Find(5), nullptr);
+  bool evicted = true;
+  ring.Append(&evicted) = 130;  // Id 13: id 5's slot.
+  EXPECT_FALSE(evicted);
+  EXPECT_EQ(ring.overwritten(), 4u);
+}
+
 TEST(FlowTracerTest, RingOverwritesOldest) {
   FlowTracer tracer(8);
   tracer.SetGlobal(true);
@@ -107,17 +155,6 @@ TEST(FlowTracerTest, RingOverwritesOldest) {
   }
 }
 
-TEST(FlowTracerTest, PerFlowEnableFilters) {
-  FlowTracer tracer(64);
-  tracer.EnableFlow(7);
-  tracer.Record(1, 7, FlowEventType::kDataTx);
-  tracer.Record(2, 8, FlowEventType::kDataTx);
-  EXPECT_TRUE(tracer.enabled(7));
-  EXPECT_FALSE(tracer.enabled(8));
-  ASSERT_EQ(tracer.size(), 1u);
-  EXPECT_EQ(tracer.Events()[0].flow, 7u);
-}
-
 // Two bulk flows from host 1 to host 0 until `until`.
 void RunBulk(Experiment* exp, TimeNs until) {
   BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
@@ -130,39 +167,20 @@ void RunBulk(Experiment* exp, TimeNs until) {
   exp->sim().RunUntil(until);
 }
 
-// A 5 ms default-config (untraced) bulk transfer; `trace_flow0` opts the
-// sender's flow 0 into event tracing after the service is built.
-std::unique_ptr<Experiment> UntracedTransfer(bool trace_flow0) {
+TEST(TracerRingTest, UntracedServiceHoldsNoRingStorage) {
+  // A 5 ms default-config (untraced) bulk transfer.
   HostSpec spec;
   spec.stack = StackKind::kTas;
   spec.app_cores = 2;
   auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
-  if (trace_flow0) {
-    exp->host(1).tas()->tracer().flow_events().EnableFlow(0);
-  }
   RunBulk(exp.get(), Ms(5));
-  return exp;
-}
-
-TEST(TracerRingTest, UntracedServiceHoldsNoRingStorage) {
-  auto exp = UntracedTransfer(/*trace_flow0=*/false);
   for (size_t h = 0; h < 2; ++h) {
     const Tracer& tracer = exp->host(h).tas()->tracer();
     EXPECT_EQ(tracer.flow_events().ring_bytes(), 0u);
     EXPECT_EQ(tracer.latency().ring_bytes(), 0u);
     EXPECT_EQ(tracer.causal().ring_bytes(), 0u);
-    // capacity() still reports the configured size.
-    EXPECT_EQ(tracer.flow_events().capacity(), TraceConfig{}.flow_event_capacity);
-  }
-}
-
-TEST(TracerRingTest, PerFlowEnableAfterConstructionRecords) {
-  auto exp = UntracedTransfer(/*trace_flow0=*/true);
-  const FlowTracer& events = exp->host(1).tas()->tracer().flow_events();
-  ASSERT_GT(events.size(), 0u);
-  EXPECT_GT(events.ring_bytes(), 0u);
-  for (const FlowEvent& e : events.Events()) {
-    EXPECT_EQ(e.flow, 0u);
+    // capacity() still reports the ring's size.
+    EXPECT_EQ(tracer.flow_events().capacity(), kFlowEventCapacity);
   }
 }
 

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "src/tas/slow_path.h"
 #include "src/tas/watchdog.h"
 #include "src/trace/flight_recorder.h"
+#include "src/util/json.h"
 
 namespace tas {
 namespace {
@@ -136,6 +139,24 @@ void RemoveBundle(const std::string& prefix, int bundles) {
   }
 }
 
+// Parses every line of a bundle's JSONL; false if any line is malformed or
+// repeats a key (a reader keeping the last duplicate would misread it).
+bool JsonlLinesHaveUniqueKeys(const std::string& jsonl) {
+  std::istringstream is(jsonl);
+  std::string line;
+  while (std::getline(is, line)) {
+    const std::optional<JsonValue> v = ParseJson(line);
+    if (!v.has_value()) {
+      return false;
+    }
+    const std::set<std::string> keys(v->keys().begin(), v->keys().end());
+    if (keys.size() != v->keys().size()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Workload-facing fingerprint: transfer totals, retransmission machinery,
 // link-level packet/byte/drop counts. Deliberately excludes events_executed —
 // the armed watchdog adds periodic *check* events without changing any
@@ -241,6 +262,7 @@ TEST(WatchdogTest, FaultedChaosRunTriggersBundleNamingTheBreachedSlo) {
   EXPECT_NE(run.bundle_jsonl.find("\"type\":\"timeout_retransmit\""), std::string::npos);
   EXPECT_NE(run.bundle_jsonl.find("\"stream\":\"slo\""), std::string::npos);
   EXPECT_NE(run.bundle_perfetto.find("\"slo-trigger\""), std::string::npos);
+  EXPECT_TRUE(JsonlLinesHaveUniqueKeys(run.bundle_jsonl));
 
   // The trigger JSON round-trips the machine-readable fields.
   const std::string json = SloTriggerToJson(t);
@@ -316,13 +338,12 @@ TEST(WatchdogTest, ArmedUntriggeredRunIsWorkloadIdenticalToRecorderOff) {
 // --- Recorder mechanics ------------------------------------------------------
 
 TEST(WatchdogTest, RecorderRingOverwritesOldestAndCapturesSortedWindow) {
-  WatchdogConfig config;
-  config.flow_ring_capacity = 4;
-  config.latency_ring_capacity = 4;
-  FlightRecorder recorder(config);
+  FlightRecorder recorder(WatchdogConfig{});
   ASSERT_EQ(FlightRecorder::Install(&recorder), nullptr);
 
-  for (uint64_t i = 0; i < 6; ++i) {
+  // Two flow records past the ring's capacity.
+  const size_t flow_capacity = kRecorderRingCapacity[0];
+  for (uint64_t i = 0; i < flow_capacity + 2; ++i) {
     FlowEvent e;
     e.t = static_cast<TimeNs>(100 * (i + 1));
     e.flow = i;
@@ -331,7 +352,7 @@ TEST(WatchdogTest, RecorderRingOverwritesOldestAndCapturesSortedWindow) {
   }
   recorder.RecordLatency(250, 1000, 200, 300);
 
-  EXPECT_EQ(recorder.recorded(RecorderStream::kFlow), 6u);
+  EXPECT_EQ(recorder.recorded(RecorderStream::kFlow), flow_capacity + 2);
   EXPECT_EQ(recorder.overwritten(RecorderStream::kFlow), 2u);
   EXPECT_EQ(recorder.recorded(RecorderStream::kLatency), 1u);
   EXPECT_EQ(recorder.overwritten(RecorderStream::kLatency), 0u);
@@ -349,7 +370,8 @@ TEST(WatchdogTest, RecorderRingOverwritesOldestAndCapturesSortedWindow) {
   }
   // Tighter window clips both ends.
   EXPECT_EQ(recorder.CaptureWindow(400, 500).size(), 2u);
-  // The latency record is found by its own window.
+  // The latency record is found by its own window; overwritten flow 1
+  // (t=200) is not.
   const std::vector<RecorderRecord> lat = recorder.CaptureWindow(200, 260);
   ASSERT_EQ(lat.size(), 1u);
   EXPECT_EQ(lat[0].stream, RecorderStream::kLatency);
@@ -379,6 +401,45 @@ TEST(WatchdogTest, TriggerWithoutPrefixIsRecordedButNotSerialized) {
   EXPECT_EQ(recorder.triggers()[0].bundle, -1);
 
   FlightRecorder::Install(nullptr);
+}
+
+TEST(WatchdogTest, BundleJsonlKeepsWireSeqApartFromAppendSeq) {
+  const std::string prefix = "/tmp/tas_watchdog_seq";
+  WatchdogConfig config;
+  config.bundle_prefix = prefix;
+  FlightRecorder recorder(config);
+  ASSERT_EQ(FlightRecorder::Install(&recorder), nullptr);
+  recorder.RecordSlo(100, SloKind::kRetransmitRate, 2.5, true);
+  FlowEvent e;
+  e.t = 200;
+  e.flow = 3;
+  e.type = FlowEventType::kDataTx;
+  e.a = 3003983461u;  // Wire seq.
+  e.b = 1448;
+  recorder.RecordFlowEvent(e);
+
+  SloTrigger trigger;
+  trigger.slo = "test";
+  trigger.t = 300;
+  trigger.window_to = 300;
+  recorder.Trigger(trigger, nullptr);
+  ASSERT_EQ(recorder.bundles_written(), 1);
+  const std::string jsonl = ReadFile(prefix + ".bundle0.jsonl");
+  EXPECT_TRUE(JsonlLinesHaveUniqueKeys(jsonl));
+  std::istringstream is(jsonl);
+  std::string line;
+  std::getline(is, line);  // The slo record.
+  std::getline(is, line);
+  const std::optional<JsonValue> flow = ParseJson(line);
+  ASSERT_TRUE(flow.has_value());
+  ASSERT_NE(flow->FindString("type"), nullptr);
+  EXPECT_EQ(*flow->FindString("type"), "data_tx");
+  EXPECT_EQ(flow->FindNumber("seq"), 3003983461.0);
+  EXPECT_EQ(flow->FindNumber("append_seq"), 1.0);
+  EXPECT_EQ(flow->FindNumber("len"), 1448.0);
+
+  FlightRecorder::Install(nullptr);
+  RemoveBundle(prefix, recorder.bundles_written());
 }
 
 // --- Satellite: per-type drop attribution ------------------------------------
