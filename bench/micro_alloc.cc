@@ -256,27 +256,21 @@ bool AuditFlowTable() {
 }
 
 // Flow slot recycling through the slab free list: Free resets the flow in
-// place, scrubbing what it wrote (buffers keep their size), and Allocate pops
-// the free list, so steady-state connection turnover is allocation-free.
-// Rings are sized as TasService::AllocateFlow sizes them and written every
-// cycle, so the audit covers that real recycle path.
+// place, scrubbing what it wrote into its rings, and Allocate pops the free
+// list and rewires the slot's rings, so steady-state connection turnover is
+// allocation-free. The slab owns rings sized as TasService's are, and every
+// cycle writes them, so the audit covers that real recycle path. Mapping a
+// chunk's ring region is set-up: it happens before the measured loop.
 bool AuditFlowSlab() {
   const TasConfig config;
   uint8_t payload[1500];
   for (size_t i = 0; i < sizeof(payload); ++i) {
     payload[i] = static_cast<uint8_t>(i % 251 + 1);
   }
-  FlowSlab slab;
+  FlowSlab slab(config.rx_buffer_bytes, config.tx_buffer_bytes);
   uint32_t pos = 0;
   const auto use = [&](FlowId id) {
     Flow& flow = *slab.Get(id);
-    FlowCold& cold = flow.cold();
-    cold.rx_mem.resize(config.rx_buffer_bytes);
-    cold.tx_mem.resize(config.tx_buffer_bytes);
-    flow.fs.rx_base = cold.rx_mem.data();
-    flow.fs.tx_base = cold.tx_mem.data();
-    flow.fs.rx_size = config.rx_buffer_bytes;
-    flow.fs.tx_size = config.tx_buffer_bytes;
     pos += 7919;  // Varies where the writes land, wraps included.
     flow.AnchorRx(pos);
     flow.AnchorTx(~pos);

@@ -330,6 +330,7 @@ void FastPathCore::HandleAck(FlowId flow_id, Flow& flow, const Packet& pkt) {
   if (flow.RecordFinAck(pkt.tcp.ack)) {
     // Nothing is queued behind a FIN, so it acks no payload; the slow path
     // owns the state change.
+    service_->slow_path()->Wake(flow_id);
     return;
   }
 

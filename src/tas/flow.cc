@@ -34,9 +34,9 @@ const char* ConnStateName(ConnState state) {
 
 namespace {
 
-// Copies len bytes to/from a ring at a free-running position.
-void RingCopyIn(uint8_t* base, uint32_t size, uint32_t pos, const uint8_t* src, uint32_t len) {
-  const uint32_t at = pos % size;
+// Copies len bytes to/from a ring at ring offset `at` (< size), split at the
+// ring end.
+void RingCopyIn(uint8_t* base, uint32_t size, uint32_t at, const uint8_t* src, uint32_t len) {
   const uint32_t first = std::min(len, size - at);
   std::memcpy(base + at, src, first);
   if (first < len) {
@@ -44,8 +44,7 @@ void RingCopyIn(uint8_t* base, uint32_t size, uint32_t pos, const uint8_t* src, 
   }
 }
 
-void RingCopyOut(const uint8_t* base, uint32_t size, uint32_t pos, uint8_t* dst, uint32_t len) {
-  const uint32_t at = pos % size;
+void RingCopyOut(const uint8_t* base, uint32_t size, uint32_t at, uint8_t* dst, uint32_t len) {
   const uint32_t first = std::min(len, size - at);
   std::memcpy(dst, base + at, first);
   if (first < len) {
@@ -53,26 +52,17 @@ void RingCopyOut(const uint8_t* base, uint32_t size, uint32_t pos, uint8_t* dst,
   }
 }
 
-// Zeroes the ring bytes at free-running positions [from, to), capped at the
-// ring size and split at the wrap.
-void RingZero(uint8_t* base, uint32_t size, uint32_t from, uint32_t to) {
-  const uint32_t len = std::min(to - from, size);
-  if (len == 0) {
-    return;
-  }
-  const uint32_t at = from % size;
-  const uint32_t first = std::min(len, size - at);
-  std::memset(base + at, 0, first);
-  if (first < len) {
-    std::memset(base, 0, len - first);
+// Zeroes what a flow wrote into a ring: the first `used` bytes past the
+// anchor, or the whole ring once it has wrapped.
+void RingScrub(uint8_t* base, uint32_t size, uint32_t used, bool wrapped) {
+  if (base != nullptr) {
+    std::memset(base, 0, wrapped ? size : std::min(used, size));
   }
 }
 
 }  // namespace
 
 void FlowCold::Reset() {
-  rx_start = 0;
-  tx_start = 0;
   cc.reset();
   wcc.reset();
   last_seq_sampled = 0;
@@ -99,7 +89,7 @@ void Flow::AnchorRx(uint32_t pos) {
   fs.ack = pos;
   fs.rx_head = pos;
   fs.rx_tail = pos;
-  cold().rx_start = pos;
+  rx_anchor = pos;
 }
 
 void Flow::AnchorTx(uint32_t pos) {
@@ -107,21 +97,23 @@ void Flow::AnchorTx(uint32_t pos) {
   fs.tx_head = pos;
   fs.tx_tail = pos;
   fs.tx_sent = 0;
-  cold().tx_start = pos;
+  tx_anchor = pos;
 }
 
 void Flow::Reset() {
+  // Every rx write is in order (ending at or before rx_head) or inside the
+  // out-of-order interval, which only grows until the gap closes; every tx
+  // write is an app append ending at tx_head. Until a ring wraps, each lies
+  // less than one ring size past rx_tail / tx_tail, so the 32-bit distances
+  // from the anchors are exact.
+  uint32_t rx_end = fs.rx_head;
+  const uint32_t ooo_end = fs.ooo_start + fs.ooo_len;
+  if (fs.ooo_len > 0 && SeqGt(ooo_end, rx_end)) {
+    rx_end = ooo_end;
+  }
+  RingScrub(fs.rx_base, fs.rx_size, rx_end - rx_anchor, rx_wrapped);
+  RingScrub(fs.tx_base, fs.tx_size, fs.tx_head - tx_anchor, tx_wrapped);
   if (cold_ptr_ != nullptr) {
-    // Every rx write is in order (ending at or before rx_head) or inside the
-    // out-of-order interval, which only grows until the gap closes; every tx
-    // write is an app append ending at tx_head.
-    uint32_t rx_end = fs.rx_head;
-    const uint32_t ooo_end = fs.ooo_start + fs.ooo_len;
-    if (fs.ooo_len > 0 && SeqGt(ooo_end, rx_end)) {
-      rx_end = ooo_end;
-    }
-    RingZero(fs.rx_base, fs.rx_size, cold_ptr_->rx_start, rx_end);
-    RingZero(fs.tx_base, fs.tx_size, cold_ptr_->tx_start, fs.tx_head);
     cold_ptr_->Reset();
   }
   fs = FlowState{};
@@ -136,21 +128,25 @@ void Flow::Reset() {
   tx_pending = false;
   in_dirty = false;
   fin_acked = false;
+  rx_wrapped = false;
+  tx_wrapped = false;
   cstate = ConnState::kSynSent;
+  rx_anchor = 0;
+  tx_anchor = 0;
 }
 
 void Flow::CopyIntoRx(uint32_t wire_pos, const uint8_t* src, uint32_t len) {
   if (len == 0) {
     return;
   }
-  RingCopyIn(fs.rx_base, fs.rx_size, wire_pos, src, len);
+  RingCopyIn(fs.rx_base, fs.rx_size, (wire_pos - rx_anchor) % fs.rx_size, src, len);
 }
 
 void Flow::CopyFromTx(uint32_t wire_pos, uint8_t* dst, uint32_t len) const {
   if (len == 0) {
     return;
   }
-  RingCopyOut(fs.tx_base, fs.tx_size, wire_pos, dst, len);
+  RingCopyOut(fs.tx_base, fs.tx_size, (wire_pos - tx_anchor) % fs.tx_size, dst, len);
 }
 
 uint32_t Flow::AppWriteTx(const uint8_t* src, uint32_t len) {
@@ -159,8 +155,10 @@ uint32_t Flow::AppWriteTx(const uint8_t* src, uint32_t len) {
   if (n == 0) {
     return 0;
   }
-  RingCopyIn(fs.tx_base, fs.tx_size, fs.tx_head, src, n);
+  const uint32_t at = fs.tx_head - tx_anchor;
+  RingCopyIn(fs.tx_base, fs.tx_size, at % fs.tx_size, src, n);
   fs.tx_head += n;
+  tx_wrapped = tx_wrapped || at + n >= fs.tx_size;
   return n;
 }
 
@@ -169,8 +167,10 @@ uint32_t Flow::AppReadRx(uint8_t* dst, uint32_t len) {
   if (n == 0) {
     return 0;
   }
-  RingCopyOut(fs.rx_base, fs.rx_size, fs.rx_tail, dst, n);
+  const uint32_t at = fs.rx_tail - rx_anchor;
+  RingCopyOut(fs.rx_base, fs.rx_size, at % fs.rx_size, dst, n);
   fs.rx_tail += n;
+  rx_wrapped = rx_wrapped || at + n >= fs.rx_size;
   return n;
 }
 

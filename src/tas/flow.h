@@ -1,17 +1,17 @@
 // Runtime flow record, split hot/cold for million-flow cache residency
 // (paper §3.1, Table 3): `Flow` is the compact record the fast path touches
-// per packet — the packed FlowState, negotiated parameters, and transmit
-// pacing — while `FlowCold` holds everything only the slow path or libTAS
-// setup/teardown touches: payload buffer storage, the congestion-control
-// instance, and the connection-FSM bookkeeping. FlowSlab stores the two in
-// parallel arrays and wires each Flow to its side record; a standalone Flow
-// (tests, scratch use) lazily owns one instead.
+// per packet — the packed FlowState, negotiated parameters, transmit pacing
+// and the ring anchors — while `FlowCold` holds everything only the slow
+// path or libTAS setup/teardown touches: the congestion-control instance and
+// the connection-FSM bookkeeping. FlowSlab stores the two in parallel arrays,
+// wires each Flow to its side record and to its payload rings; a standalone
+// Flow (tests, ad-hoc use) lazily owns a side record and points fs.rx_base /
+// fs.tx_base at caller-owned memory.
 #ifndef SRC_TAS_FLOW_H_
 #define SRC_TAS_FLOW_H_
 
 #include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "src/cc/cc.h"
 #include "src/cc/dctcp_window.h"
@@ -37,18 +37,9 @@ enum class ConnState : uint8_t {
 };
 
 // Cold slow-path side record. Nothing here is read on the fast-path
-// per-packet path; keeping it out of Flow keeps the hot array dense.
+// per-packet path; keeping it out of Flow keeps the hot array dense. The
+// payload rings are not here: FlowSlab owns them (flow_table.h).
 struct FlowCold {
-  // Payload buffer storage. In the real system these arrays live in app
-  // shared memory; fs.rx_base/tx_base point at them. Invariant: while the
-  // slab slot is free, every byte of both is zero.
-  std::vector<uint8_t> rx_mem;
-  std::vector<uint8_t> tx_mem;
-  // First wire position of each ring, recorded when it is anchored: every
-  // byte the flow wrote lies at or after it, which bounds the free-time scrub.
-  uint32_t rx_start = 0;
-  uint32_t tx_start = 0;
-
   std::unique_ptr<RateCc> cc;     // Rate mode policy...
   std::unique_ptr<WindowCc> wcc;  // ...or window mode policy.
   uint32_t last_seq_sampled = 0;  // RTO detection: seq unchanged across
@@ -64,9 +55,8 @@ struct FlowCold {
   TimeNs timewait_start = 0;
   TimeNs established_at = 0;
 
-  // Returns to freshly-constructed state except for the payload buffers,
-  // which keep their size and contents: Flow::Reset scrubs them first, so a
-  // recycled slot's next AllocateFlow neither allocates nor zero-fills.
+  // Returns to freshly-constructed state without freeing anything it can
+  // keep, so recycling a slab slot is allocation-free.
   void Reset();
 };
 
@@ -92,7 +82,19 @@ struct Flow {
   // Our FIN has been acknowledged (RecordFinAck); the slow path turns it
   // into kFinWait2/kTimeWait. Hot so the fast path never reads FlowCold.
   bool fin_acked = false;
+  // Sticky: libTAS moved rx_tail / tx_head at least one ring size past the
+  // anchor, so any ring byte may hold payload and Reset zeroes the whole
+  // ring. Each move is at most one ring size, so the crossing cannot be
+  // skipped, and the bit stays exact after positions wrap at 4 GiB.
+  bool rx_wrapped = false;
+  bool tx_wrapped = false;
   ConnState cstate = ConnState::kSynSent;
+  // First wire position of each ring (AnchorRx/AnchorTx). The byte at wire
+  // position `pos` lives at ring offset (pos - anchor) mod size, so a flow's
+  // first byte lands at offset 0 and a short flow touches only the first
+  // page of each ring. Hot because every payload copy indexes with them.
+  uint32_t rx_anchor = 0;
+  uint32_t tx_anchor = 0;
 
   // Refreshes the bucket to `now` and returns the available byte credit.
   double RefillTokens(TimeNs now, double burst_bytes) {
@@ -133,15 +135,17 @@ struct Flow {
   }
 
   // Anchor a ring at its first wire position (the byte after the SYN): rx at
-  // irs+1 (also rcv_nxt), tx at iss+1 (also the next byte to send).
+  // irs+1 (also rcv_nxt), tx at iss+1 (also the next byte to send). Called
+  // before the ring holds any byte.
   void AnchorRx(uint32_t pos);
   void AnchorTx(uint32_t pos);
 
   // Returns the record (hot fields and the bound cold record) to
   // freshly-constructed state; allocation-free for slab-resident flows.
-  // First zeroes the ring bytes the flow wrote, so a free slot's buffers are
-  // all zero and the next flow never sees this one's payload. The cost is
-  // the bytes written (at most the ring size), not the ring size.
+  // First zeroes the ring bytes the flow wrote, so a free slot's rings are
+  // all zero and the next flow never sees this one's payload. The written
+  // bytes start at ring offset 0, so the cost is the bytes written (at most
+  // the ring size), not the ring size. Clears fs, rx_base/tx_base included.
   void Reset();
 
   // --- Buffer arithmetic (all positions are free-running wire sequences) ---

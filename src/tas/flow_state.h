@@ -7,10 +7,13 @@
 // same widths; our packed size is 103 bytes because dupack_cnt occupies a
 // full byte where the paper packs it into 4 bits.
 //
-// Positions (rx|tx head/tail, tx_sent) are 32-bit offsets in wire-sequence
-// space, exactly like the original C implementation: all comparisons are
-// modular (src/tcp/seq.h). Buffer memory lives in the untrusted app library
-// (libTAS owns the payload arrays); rx_base/tx_base point into it.
+// Positions (rx|tx head/tail) are 32-bit wire sequence numbers, exactly
+// like the original C implementation: all comparisons are modular
+// (src/tcp/seq.h). Buffer memory is shared with the untrusted app library;
+// here FlowSlab's ring region stands in for it (flow_table.h), and
+// rx_base/tx_base point into it. The byte at wire position `pos` lives at
+// ring offset (pos - anchor) mod size, with each ring's anchor (its first
+// wire position) kept in the hot Flow record (flow.h).
 #ifndef SRC_TAS_FLOW_STATE_H_
 #define SRC_TAS_FLOW_STATE_H_
 
@@ -35,8 +38,8 @@ struct FlowState {
   uint8_t* tx_base = nullptr;  // tx_start.
   uint32_t rx_size = 0;
   uint32_t tx_size = 0;
-  // rx_head: next write position (== bytes received, mod 2^32, offset from
-  // irs+1). rx_tail: app read position, advanced by libTAS.
+  // rx_head: next in-order write position, a wire sequence number anchored
+  // at irs+1. rx_tail: app read position, advanced by libTAS.
   uint32_t rx_head = 0;
   uint32_t rx_tail = 0;
   // tx_head: app write position, advanced by libTAS. tx_tail: first

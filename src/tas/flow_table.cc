@@ -1,5 +1,8 @@
 #include "src/tas/flow_table.h"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstring>
@@ -16,6 +19,20 @@ size_t RoundUpPow2(size_t n) {
 }
 
 uint64_t HashKey(const FlowKey& key) { return FlowKeyHash{}(key); }
+
+// Ring placement inside a chunk's region: every ring starts cache-line
+// aligned, and ASan builds follow each ring with a poisoned gap. Outside
+// ASan, rings whose size is a page multiple are page aligned.
+constexpr size_t kRingAlign = 64;
+#if defined(__SANITIZE_ADDRESS__)
+constexpr size_t kRingGap = 64;
+#else
+constexpr size_t kRingGap = 0;
+#endif
+
+size_t RingStride(uint32_t ring_bytes) {
+  return ring_bytes == 0 ? 0 : (ring_bytes + kRingGap + kRingAlign - 1) / kRingAlign * kRingAlign;
+}
 
 constexpr uint64_t kLsbs = 0x0101010101010101ull;
 constexpr uint64_t kMsbs = 0x8080808080808080ull;
@@ -253,13 +270,38 @@ void FlowTable::FinishRehash() {
   }
 }
 
-FlowSlab::Chunk::Chunk()
+FlowSlab::FlowSlab(uint32_t rx_ring_bytes, uint32_t tx_ring_bytes)
+    : rx_ring_bytes_(rx_ring_bytes),
+      tx_ring_bytes_(tx_ring_bytes),
+      rx_stride_(RingStride(rx_ring_bytes)),
+      slot_stride_(rx_stride_ + RingStride(tx_ring_bytes)) {}
+
+FlowSlab::Chunk::Chunk(size_t region_bytes)
     : flows(kChunkSlots),
       cold(kChunkSlots),
       generation(kChunkSlots, 0),
-      live(kChunkSlots, 0) {
+      live(kChunkSlots, 0),
+      ring_region_bytes(region_bytes) {
   for (size_t i = 0; i < kChunkSlots; ++i) {
     flows[i].BindCold(&cold[i]);
+  }
+  if (ring_region_bytes == 0) {
+    return;
+  }
+  // Anonymous private pages read as zero until written, which is exactly a
+  // free slot's all-zero invariant; NORESERVE because most of the region is
+  // never written.
+  void* region = mmap(nullptr, ring_region_bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  TAS_CHECK(region != MAP_FAILED) << "ring region of " << ring_region_bytes << " bytes";
+  madvise(region, ring_region_bytes, MADV_NOHUGEPAGE);
+  rings = static_cast<uint8_t*>(region);
+}
+
+FlowSlab::Chunk::~Chunk() {
+  if (rings != nullptr) {
+    ASAN_UNPOISON_MEMORY_REGION(rings, ring_region_bytes);
+    munmap(rings, ring_region_bytes);
   }
 }
 
@@ -270,7 +312,15 @@ FlowId FlowSlab::Allocate() {
     free_slots_.pop_back();
   } else {
     if (slot_count_ == capacity_slots()) {
-      chunks_.push_back(std::make_unique<Chunk>());
+      chunks_.push_back(std::make_unique<Chunk>(kChunkSlots * slot_stride_));
+      Chunk& c = *chunks_.back();
+      for (size_t i = 0; c.rings != nullptr && i < kChunkSlots; ++i) {
+        uint8_t* rx = c.rings + i * slot_stride_;
+        uint8_t* tx = rx + rx_stride_;
+        ASAN_POISON_MEMORY_REGION(rx + rx_ring_bytes_, rx_stride_ - rx_ring_bytes_);
+        ASAN_POISON_MEMORY_REGION(tx + tx_ring_bytes_,
+                                  slot_stride_ - rx_stride_ - tx_ring_bytes_);
+      }
     }
     slot = static_cast<uint32_t>(slot_count_++);
     TAS_DCHECK(slot < kFlowSlotMask);  // Slot 0xFFFFF reserved: id != kInvalidFlow.
@@ -279,6 +329,14 @@ FlowId FlowSlab::Allocate() {
   const size_t i = slot % kChunkSlots;
   c.live[i] = 1;
   ++live_;
+  if (c.rings != nullptr) {
+    FlowState& fs = c.flows[i].fs;
+    uint8_t* rings = c.rings + i * slot_stride_;
+    fs.rx_base = rx_ring_bytes_ > 0 ? rings : nullptr;
+    fs.tx_base = tx_ring_bytes_ > 0 ? rings + rx_stride_ : nullptr;
+    fs.rx_size = rx_ring_bytes_;
+    fs.tx_size = tx_ring_bytes_;
+  }
   return MakeFlowId(slot, c.generation[i]);
 }
 

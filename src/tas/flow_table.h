@@ -32,14 +32,25 @@
 // FlowSlab
 //   Fixed 512-slot chunks so Flow addresses are stable across growth (the
 //   fast path holds `Flow&` across calls and fs.rx_base points into the
-//   flow's rx buffer). Each chunk stores the compact hot Flow records in one
-//   contiguous array and their cold slow-path side records (FlowCold:
-//   payload buffers, CC instances, teardown FSM bookkeeping) in a parallel
-//   array, so the fast path's working set per flow is the hot struct only.
+//   flow's rx ring). Each chunk stores the compact hot Flow records in one
+//   contiguous array and their cold slow-path side records (FlowCold: CC
+//   instances, teardown FSM bookkeeping) in a parallel array, so the fast
+//   path's working set per flow is the hot struct only.
 //   Slots are recycled through a free list; each slot carries a generation
 //   that is bumped on Free, and FlowIds encode (generation << 20 | slot), so
 //   a stale id held by the slow path's pending scan or an app resolves to
 //   nullptr instead of a recycled flow.
+//
+//   Payload rings: each chunk maps one anonymous, zero-on-demand region
+//   holding every slot's rx and tx ring (one mapping per chunk, not per ring,
+//   so a million flows stay far below vm.max_map_count). A page becomes
+//   resident only when a flow first writes it; rings are anchored at the
+//   flow's first byte (Flow::AnchorRx/AnchorTx), so a short flow touches
+//   only the first page of each ring, and Flow::Reset zeroes only what was
+//   written. The region is MADV_NOHUGEPAGE so residency does not depend on
+//   the host's transparent-huge-page setting. ASan builds leave a poisoned
+//   gap after every ring, so a one-byte overrun aborts instead of landing in
+//   the next ring.
 #ifndef SRC_TAS_FLOW_TABLE_H_
 #define SRC_TAS_FLOW_TABLE_H_
 
@@ -163,15 +174,17 @@ class FlowTable {
   mutable LogHistogram probe_hist_;
 };
 
-// Cold slow-path side record: everything a million cache-resident flows do
-// NOT need per fast-path packet. Declared in flow.h; stored here in a
-// parallel per-chunk array so hot Flow records stay contiguous.
 class FlowSlab {
  public:
   static constexpr size_t kChunkSlots = 512;
 
+  // Every slot gets an rx ring of `rx_ring_bytes` and a tx ring of
+  // `tx_ring_bytes` (0: none), wired into fs by Allocate.
+  explicit FlowSlab(uint32_t rx_ring_bytes = 0, uint32_t tx_ring_bytes = 0);
+
   // Takes a slot from the free list (or appends one) and returns its current
-  // id. The Flow in the slot is in freshly Reset() state.
+  // id. The Flow in the slot is in freshly Reset() state with its all-zero
+  // rings wired into fs.rx_base/tx_base and fs.rx_size/tx_size.
   FlowId Allocate();
   // Resets the flow, bumps the slot generation (staling outstanding ids) and
   // recycles the slot. `id` must be live.
@@ -203,21 +216,30 @@ class FlowSlab {
 
  private:
   // Hot Flow records and cold side records live in parallel arrays: the fast
-  // path walks `flows` without pulling buffer vectors / CC state / teardown
-  // bookkeeping into cache. Both arrays are sized once at chunk creation and
-  // never move, so slot recycling stays allocation-free and Flow&/FlowCold&
-  // stay stable for the lifetime of the slab.
+  // path walks `flows` without pulling CC state / teardown bookkeeping into
+  // cache. Both arrays and the ring region are sized once at chunk creation
+  // and never move, so slot recycling stays allocation-free and
+  // Flow&/FlowCold&/ring pointers stay stable for the lifetime of the slab.
   struct Chunk {
-    Chunk();
+    explicit Chunk(size_t ring_region_bytes);
+    ~Chunk();
+    Chunk(const Chunk&) = delete;
+    Chunk& operator=(const Chunk&) = delete;
     std::vector<Flow> flows;
     std::vector<FlowCold> cold;
     std::vector<uint32_t> generation;
     std::vector<uint8_t> live;
+    uint8_t* rings = nullptr;  // kChunkSlots x [rx ring | gap | tx ring | gap].
+    size_t ring_region_bytes = 0;
   };
 
   Chunk& ChunkOf(uint32_t slot) { return *chunks_[slot / kChunkSlots]; }
   const Chunk& ChunkOf(uint32_t slot) const { return *chunks_[slot / kChunkSlots]; }
 
+  uint32_t rx_ring_bytes_;
+  uint32_t tx_ring_bytes_;
+  size_t rx_stride_;    // rx ring plus its gap: the tx ring's offset in a slot.
+  size_t slot_stride_;  // Both rings and their gaps.
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<uint32_t> free_slots_;
   size_t slot_count_ = 0;

@@ -27,7 +27,10 @@ std::unique_ptr<RateCc> MakeRateCc(const TasConfig& config) {
 }  // namespace
 
 TasService::TasService(Simulator* sim, HostPort* port, const TasConfig& config)
-    : sim_(sim), config_(config), rng_(config.rng_seed) {
+    : sim_(sim),
+      config_(config),
+      flows_(config.rx_buffer_bytes, config.tx_buffer_bytes),
+      rng_(config.rng_seed) {
   tracer_ = std::make_unique<Tracer>(sim, config.trace);
   // First host wins each process-wide sink: packets and requests cross
   // hosts, so one tracer (one recorder) observes every path. Later hosts
@@ -435,15 +438,7 @@ FlowId TasService::LookupFlowId(const FlowKey& key) { return flow_table_.Find(ke
 FlowId TasService::AllocateFlow(const FlowKey& key) {
   TAS_CHECK(flow_table_.Find(key) == kInvalidFlow);
   const FlowId id = flows_.Allocate();
-  Flow* flow = flows_.Get(id);
-  // A recycled slot keeps its scrubbed (all-zero) buffers: both resizes are
-  // no-ops then, and zero-fill only a slot's first use.
-  flow->cold().rx_mem.resize(config_.rx_buffer_bytes);
-  flow->cold().tx_mem.resize(config_.tx_buffer_bytes);
-  flow->fs.rx_base = flow->cold().rx_mem.data();
-  flow->fs.tx_base = flow->cold().tx_mem.data();
-  flow->fs.rx_size = config_.rx_buffer_bytes;
-  flow->fs.tx_size = config_.tx_buffer_bytes;
+  Flow* flow = flows_.Get(id);  // Rings wired by the slab, all zero.
   flow->fs.local_port = key.local_port;
   flow->fs.peer_ip = key.peer_ip;
   flow->fs.peer_port = key.peer_port;

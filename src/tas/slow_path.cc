@@ -1,6 +1,7 @@
 #include "src/tas/slow_path.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/cc/dctcp_rate.h"
 #include "src/cc/timely.h"
@@ -201,8 +202,8 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
     case ConnState::kCloseWait:
     case ConnState::kFinWait1:
     case ConnState::kFinWait2: {
-      if (pkt.tcp.ack_flag()) {
-        flow.RecordFinAck(pkt.tcp.ack);  // Consumed by HandleFin or ScanPending.
+      if (pkt.tcp.ack_flag() && flow.RecordFinAck(pkt.tcp.ack)) {
+        Wake(flow_id);  // Consumed by HandleFin or ScanPending.
       }
       if (pkt.tcp.syn()) {
         // Retransmitted SYN-ACK: our handshake-completing ACK was lost.
@@ -262,6 +263,7 @@ void SlowPath::HandleFin(FlowId flow_id, Flow& flow, const Packet& pkt) {
 
   NotifyRemoteClosed(flow);
 
+  Wake(flow_id);
   switch (flow.cstate) {
     case ConnState::kEstablished:
       flow.cstate = ConnState::kCloseWait;
@@ -396,6 +398,7 @@ void SlowPath::SendControlAck(Flow& flow) {
 }
 
 void SlowPath::Establish(FlowId flow_id, Flow& flow, bool from_listener) {
+  Wake(flow_id);
   flow.cstate = ConnState::kEstablished;
   flow.cold().established_at = service_->sim()->Now();
   flow.cold().ctrl_retries = 0;
@@ -437,6 +440,9 @@ void SlowPath::ReleaseFlow(FlowId flow_id, Flow& flow) {
     return;
   }
   NotifyClosed(flow);
+  if (flow.cold().in_pending) {
+    Wake(flow_id);  // Lets the scan drop the entry, whatever its due time.
+  }
   flow.cstate = ConnState::kFreed;
   TraceState(flow_id, flow);
   service_->mutable_stats().connections_closed++;
@@ -448,12 +454,46 @@ void SlowPath::TraceState(FlowId flow_id, const Flow& flow) {
                                 static_cast<uint64_t>(flow.cstate));
 }
 
+void SlowPath::Wake(FlowId flow_id) {
+  const uint32_t slot = FlowSlotOf(flow_id);
+  if (slot >= woken_.size()) {
+    woken_.resize(slot + 1, 0);
+  }
+  woken_[slot] = 1;
+}
+
 void SlowPath::AddPending(FlowId flow_id, Flow& flow) {
   if (flow.cold().in_pending) {
+    Wake(flow_id);
     return;
   }
   flow.cold().in_pending = true;
-  pending_.push_back(flow_id);
+  pending_.push_back(PendingEntry{flow_id, PendingDue(flow, service_->sim()->Now())});
+}
+
+TimeNs SlowPath::PendingDue(const Flow& flow, TimeNs now) const {
+  const TasConfig& config = service_->config();
+  const FlowCold& cold = flow.cold();
+  switch (flow.cstate) {
+    case ConnState::kFinWait1:
+      if (flow.fin_acked) {
+        return now;
+      }
+      [[fallthrough]];
+    case ConnState::kSynSent:
+    case ConnState::kSynRcvd:
+    case ConnState::kLastAck:
+      return cold.last_ctrl_send + (config.handshake_rto << std::min(cold.ctrl_retries, 6));
+    case ConnState::kTimeWait:
+      return cold.timewait_start + config.time_wait;
+    case ConnState::kFinWait2:
+      return std::numeric_limits<TimeNs>::max();  // Only the peer's FIN ends it.
+    case ConnState::kEstablished:
+    case ConnState::kCloseWait:
+    case ConnState::kFreed:
+      break;
+  }
+  return now;  // Due at the next tick.
 }
 
 void SlowPath::ControlLoop() {
@@ -550,19 +590,13 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
   } else {
     flow.rate_bps = flow.cold().cc->Update(feedback);
   }
-  if (service_->flow_trace().global()) {
-    // ECN fraction of acked bytes in parts per million (fits the integer slot).
-    const uint64_t ecn_ppm =
-        feedback.acked_bytes > 0
-            ? feedback.ecn_bytes * 1'000'000u / feedback.acked_bytes
-            : 0;
-    const uint64_t limit = flow.cold().wcc != nullptr
-                               ? flow.cc_window
-                               : static_cast<uint64_t>(flow.rate_bps);
-    service_->flow_trace().Record(service_->sim()->Now(), flow_id,
-                                  FlowEventType::kCcUpdate, limit, ecn_ppm,
-                                  static_cast<uint64_t>(flow.fs.rtt_est));
-  }
+  // ECN fraction of acked bytes in parts per million (fits the integer slot).
+  const uint64_t ecn_ppm =
+      feedback.acked_bytes > 0 ? feedback.ecn_bytes * 1'000'000u / feedback.acked_bytes : 0;
+  const uint64_t limit =
+      flow.cold().wcc != nullptr ? flow.cc_window : static_cast<uint64_t>(flow.rate_bps);
+  service_->flow_trace().Record(service_->sim()->Now(), flow_id, FlowEventType::kCcUpdate,
+                                limit, ecn_ppm, static_cast<uint64_t>(flow.fs.rtt_est));
   flow.fs.cnt_ackb = 0;
   flow.fs.cnt_ecnb = 0;
   flow.fs.cnt_frexmits = 0;
@@ -576,20 +610,29 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
 void SlowPath::ScanPending() {
   const TimeNs now = service_->sim()->Now();
   const TasConfig& config = service_->config();
-  std::vector<FlowId>& keep = pending_keep_;
+  std::vector<PendingEntry>& keep = pending_keep_;
   keep.clear();
-  for (FlowId id : pending_) {
+  for (const PendingEntry& entry : pending_) {
+    const FlowId id = entry.id;
+    const uint32_t slot = FlowSlotOf(id);
+    const bool woken = slot < woken_.size() && woken_[slot] != 0;
+    if (entry.due > now && !woken) {
+      keep.push_back(entry);  // Nothing to do yet; keeps its place.
+      continue;
+    }
     Flow* fp = service_->flow_by_id(id);
     if (fp == nullptr || fp->cstate == ConnState::kFreed) {
       continue;
+    }
+    if (woken) {
+      woken_[slot] = 0;
     }
     Flow& flow = *fp;
     bool still_pending = true;
     switch (flow.cstate) {
       case ConnState::kSynSent:
       case ConnState::kSynRcvd: {
-        const TimeNs rto = config.handshake_rto << std::min(flow.cold().ctrl_retries, 6);
-        if (now - flow.cold().last_ctrl_send >= rto) {
+        if (now >= PendingDue(flow, now)) {
           if (++flow.cold().ctrl_retries > config.max_handshake_retries) {
             if (flow.cstate == ConnState::kSynSent) {
               service_->context(flow.fs.context)
@@ -633,8 +676,7 @@ void SlowPath::ScanPending() {
         }
         [[fallthrough]];
       case ConnState::kLastAck: {
-        const TimeNs rto = config.handshake_rto << std::min(flow.cold().ctrl_retries, 6);
-        if (now - flow.cold().last_ctrl_send >= rto) {
+        if (now >= PendingDue(flow, now)) {
           if (++flow.cold().ctrl_retries > config.max_handshake_retries) {
             ReleaseFlow(id, flow);
             still_pending = false;
@@ -648,7 +690,7 @@ void SlowPath::ScanPending() {
       case ConnState::kFinWait2:
         break;  // Waiting for the peer's FIN; no retransmission needed.
       case ConnState::kTimeWait: {
-        if (now - flow.cold().timewait_start >= config.time_wait) {
+        if (now >= PendingDue(flow, now)) {
           ReleaseFlow(id, flow);
           still_pending = false;
         }
@@ -664,7 +706,7 @@ void SlowPath::ScanPending() {
       continue;
     }
     if (still_pending) {
-      keep.push_back(id);
+      keep.push_back(PendingEntry{id, PendingDue(*cur, now)});
     } else {
       cur->cold().in_pending = false;
     }

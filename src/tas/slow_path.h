@@ -48,6 +48,15 @@ class SlowPath {
 
   uint64_t control_iterations() const { return control_iterations_; }
 
+  // Entries on the handshake/teardown list, including stale ones the next
+  // scan drops.
+  size_t pending_flows() const { return pending_.size(); }
+
+  // The flow's state changed in a way that may bring its pending work
+  // forward: its pending entry is visited at the next scan, whatever its due
+  // time. Called by both paths (the fast path on an ACK of our FIN).
+  void Wake(FlowId flow_id);
+
  private:
   struct Listener {
     uint64_t opaque = 0;
@@ -77,11 +86,18 @@ class SlowPath {
   void NotifyRemoteClosed(Flow& flow);
   void NotifyClosed(Flow& flow);
   void ReleaseFlow(FlowId flow_id, Flow& flow);
+  // Puts the flow on the pending list, or wakes it if it is already there.
   void AddPending(FlowId flow_id, Flow& flow);
+  // The earliest scan time at which ScanPending can find work for the flow
+  // in its current state: when its handshake/FIN retransmission timer or
+  // TIME_WAIT expires, or the next tick. ScanPending tests timer expiry with
+  // it too. Any state change that brings work forward wakes the flow.
+  TimeNs PendingDue(const Flow& flow, TimeNs now) const;
   void TrySendFin(FlowId flow_id, Flow& flow);
 
   void ControlLoop();
   void RunCongestionControl(FlowId flow_id, Flow& flow);
+  // Visits the pending flows that are due or woken, in list order.
   void ScanPending();
   void MonitorCores();
 
@@ -95,8 +111,17 @@ class SlowPath {
   uint64_t exception_depth_hw_ = 0;
   bool busy_ = false;
   std::unordered_map<uint16_t, Listener> listeners_;
-  std::vector<FlowId> pending_;  // Flows in handshake or teardown.
-  std::vector<FlowId> pending_keep_;  // ScanPending's survivors; swapped in.
+  // A flow in handshake or teardown, and when it is next due.
+  struct PendingEntry {
+    FlowId id;
+    TimeNs due;
+  };
+  std::vector<PendingEntry> pending_;
+  std::vector<PendingEntry> pending_keep_;  // ScanPending's survivors; swapped in.
+  // Per slab slot: woken since its flow was last visited. Only a visit that
+  // resolves to a live flow clears it, so a stale entry never eats the wake
+  // of the slot's next flow.
+  std::vector<uint8_t> woken_;
   std::vector<FlowId> dirty_scan_;    // ControlLoop's half of the dirty list.
   std::unique_ptr<PeriodicTask> cc_task_;
   std::unique_ptr<PeriodicTask> monitor_task_;

@@ -72,7 +72,6 @@ class FlowTracer {
 
   // Records events for every flow.
   void SetGlobal(bool enabled) { global_ = enabled; }
-  bool global() const { return global_; }
 
   // Forward every event to the process-wide FlightRecorder (flight_recorder.h)
   // in addition to (and independent of) this tracer's own ring. The recorder

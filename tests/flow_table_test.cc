@@ -3,6 +3,8 @@
 // flows, stale-id rejection, tombstone reuse, and steady-state stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <unordered_map>
 #include <vector>
 
@@ -279,6 +281,45 @@ TEST(FlowSlabTest, AllocateResolvesAndFreeStalesId) {
   Flow* recycled = slab.Get(c);
   ASSERT_NE(recycled, nullptr);
   EXPECT_EQ(recycled->mss, 1448);  // Reset, not leftover state.
+}
+
+TEST(FlowSlabTest, SlotsOwnDisjointRingsThatSurviveRecycling) {
+  FlowSlab slab(1000, 3000);  // Not page multiples: rings are still disjoint.
+  std::vector<FlowId> ids;
+  for (uint32_t i = 0; i < FlowSlab::kChunkSlots + 3; ++i) {  // Two chunks.
+    ids.push_back(slab.Allocate());
+  }
+  std::vector<std::pair<uint8_t*, uint8_t*>> rings;  // [begin, end) each.
+  for (FlowId id : ids) {
+    // Packed fields are copied out: gtest and emplace_back bind references.
+    const FlowState& fs = slab.Get(id)->fs;
+    uint8_t* const rx = fs.rx_base;
+    uint8_t* const tx = fs.tx_base;
+    ASSERT_EQ(uint32_t{fs.rx_size}, 1000u);
+    ASSERT_EQ(uint32_t{fs.tx_size}, 3000u);
+    rings.emplace_back(rx, rx + 1000);
+    rings.emplace_back(tx, tx + 3000);
+  }
+  std::sort(rings.begin(), rings.end());
+  for (size_t i = 1; i < rings.size(); ++i) {
+    ASSERT_LE(rings[i - 1].second, rings[i].first) << "rings overlap";
+  }
+  // A recycled slot gets the same rings back, rewired after Reset.
+  Flow* flow = slab.Get(ids[5]);
+  uint8_t* const rx = flow->fs.rx_base;
+  uint8_t* const tx = flow->fs.tx_base;
+  slab.Free(ids[5]);
+  const FlowId again = slab.Allocate();
+  EXPECT_EQ(FlowSlotOf(again), FlowSlotOf(ids[5]));
+  uint8_t* const rx_again = slab.Get(again)->fs.rx_base;
+  uint8_t* const tx_again = slab.Get(again)->fs.tx_base;
+  EXPECT_EQ(rx_again, rx);
+  EXPECT_EQ(tx_again, tx);
+  // Without ring sizes the slab wires no rings.
+  FlowSlab bare;
+  const FlowState& fs = bare.Get(bare.Allocate())->fs;
+  EXPECT_EQ(static_cast<uint8_t*>(fs.rx_base), nullptr);
+  EXPECT_EQ(static_cast<uint8_t*>(fs.tx_base), nullptr);
 }
 
 TEST(FlowSlabTest, OutOfRangeAndInvalidIdsRejected) {

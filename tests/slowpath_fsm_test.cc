@@ -176,5 +176,91 @@ TEST(SlowPathFsmTest, SimultaneousCloseResolves) {
   EXPECT_EQ(exp->host(1).tas()->num_flows(), 0u);
 }
 
+// --- Due-ordered pending walk ------------------------------------------------
+
+std::unique_ptr<Experiment> TasPairWithControlInterval(TimeNs interval,
+                                                       TimeNs propagation = Us(2)) {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  spec.tas_overridden = true;
+  spec.tas.control_interval = interval;
+  LinkConfig link;
+  link.gbps = 10.0;
+  link.propagation_delay = propagation;
+  return Experiment::PointToPoint(spec, spec, link);
+}
+
+TEST(SlowPathFsmTest, EstablishedFlowsLeaveThePendingListAtTheNextTick) {
+  // A handshake entry is due only at its retransmission time (20 ms), so
+  // only the wake from Establish lets the next scan drop it.
+  auto exp = TasPairWithControlInterval(Us(50));
+  ConnTracker server(exp->host(0).stack());
+  exp->host(0).stack()->SetHandler(&server);
+  exp->host(0).stack()->Listen(6000);
+  ConnTracker client(exp->host(1).stack());
+  exp->host(1).stack()->SetHandler(&client);
+  exp->host(1).stack()->Connect(exp->host(0).ip(), 6000);
+  exp->sim().RunUntil(Ms(2));
+  ASSERT_EQ(client.connected_, 1);
+  ASSERT_EQ(server.accepted_, 1);
+  EXPECT_EQ(exp->host(0).tas()->slow_path()->pending_flows(), 0u);
+  EXPECT_EQ(exp->host(1).tas()->slow_path()->pending_flows(), 0u);
+}
+
+TEST(SlowPathFsmTest, ReleasedFlowsLeaveThePendingListAtTheNextTick) {
+  // The passive closer's LAST_ACK entry is due only at its FIN
+  // retransmission time; the wake from the release drops it at once. The
+  // 400 us round trip lets scans visit the entry before the last ACK lands.
+  auto exp = TasPairWithControlInterval(Us(50), Us(200));
+  ConnTracker server(exp->host(0).stack());
+  exp->host(0).stack()->SetHandler(&server);
+  exp->host(0).stack()->Listen(6000);
+  ConnTracker client(exp->host(1).stack());
+  exp->host(1).stack()->SetHandler(&client);
+  const ConnId conn = exp->host(1).stack()->Connect(exp->host(0).ip(), 6000);
+  exp->sim().RunUntil(Ms(2));
+  ASSERT_EQ(client.connected_, 1);
+  exp->host(1).stack()->Close(conn);
+  exp->sim().RunUntil(Ms(4));
+  ASSERT_EQ(exp->host(0).tas()->num_flows(), 0u);
+  EXPECT_EQ(exp->host(0).tas()->slow_path()->pending_flows(), 0u);
+}
+
+// Opens a second connection as soon as the peer closes the first.
+class ReconnectOnRemoteClose : public ConnTracker {
+ public:
+  ReconnectOnRemoteClose(Stack* stack, IpAddr server) : ConnTracker(stack), server_(server) {}
+  void OnRemoteClosed(ConnId conn) override {
+    ConnTracker::OnRemoteClosed(conn);
+    stack_->Connect(server_, 6000);
+  }
+  IpAddr server_;
+};
+
+TEST(SlowPathFsmTest, StaleEntryDoesNotClearTheNextFlowsWake) {
+  // Between two scans the server releases flow A (its teardown entry stays
+  // queued, stale) and the same slab slot admits and establishes flow B.
+  // The scan visits A's stale entry first; it must leave the slot's wake to
+  // B, whose own entry is not due until its SYN-ACK retransmission time.
+  auto exp = TasPairWithControlInterval(Ms(1));
+  ConnTracker server(exp->host(0).stack());
+  exp->host(0).stack()->SetHandler(&server);
+  exp->host(0).stack()->Listen(6000);
+  ReconnectOnRemoteClose client(exp->host(1).stack(), exp->host(0).ip());
+  exp->host(1).stack()->SetHandler(&client);
+  const ConnId first = exp->host(1).stack()->Connect(exp->host(0).ip(), 6000);
+  exp->sim().RunUntil(Us(1500));  // Past the 1 ms scan.
+  ASSERT_EQ(client.connected_, 1);
+  ASSERT_EQ(exp->host(0).tas()->slow_path()->pending_flows(), 0u);
+  exp->host(1).stack()->Close(first);
+  exp->sim().RunUntil(Us(1990));  // Just before the 2 ms scan.
+  ASSERT_EQ(client.connected_, 2);
+  ASSERT_EQ(server.accepted_, 2);
+  ASSERT_EQ(exp->host(0).tas()->num_flows(), 1u);
+  ASSERT_EQ(exp->host(0).tas()->slow_path()->pending_flows(), 2u);  // A (stale), B.
+  exp->sim().RunUntil(Us(2500));
+  EXPECT_EQ(exp->host(0).tas()->slow_path()->pending_flows(), 0u);
+}
+
 }  // namespace
 }  // namespace tas

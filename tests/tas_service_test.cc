@@ -2,6 +2,8 @@
 // the service's flow table and port allocator, context queues, the core
 // scaler, and rate enforcement.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -21,10 +23,10 @@ namespace {
 
 TEST(FlowBufferTest, AppWriteReadRoundTrip) {
   Flow flow;
-  flow.cold().rx_mem.resize(1024);
-  flow.cold().tx_mem.resize(1024);
-  flow.fs.rx_base = flow.cold().rx_mem.data();
-  flow.fs.tx_base = flow.cold().tx_mem.data();
+  std::vector<uint8_t> rx(1024);
+  std::vector<uint8_t> tx(1024);
+  flow.fs.rx_base = rx.data();
+  flow.fs.tx_base = tx.data();
   flow.fs.rx_size = 1024;
   flow.fs.tx_size = 1024;
 
@@ -44,8 +46,8 @@ TEST(FlowBufferTest, AppWriteReadRoundTrip) {
 TEST(FlowBufferTest, WirePositionWrapAround) {
   // Positions are free-running wire sequences: verify modular indexing.
   Flow flow;
-  flow.cold().rx_mem.resize(256);
-  flow.fs.rx_base = flow.cold().rx_mem.data();
+  std::vector<uint8_t> rx(256);
+  flow.fs.rx_base = rx.data();
   flow.fs.rx_size = 256;
   const uint32_t base = 0xFFFFFF80u;  // Near the 32-bit wrap.
   flow.fs.rx_head = base;
@@ -59,13 +61,13 @@ TEST(FlowBufferTest, WirePositionWrapAround) {
   uint8_t out[200];
   EXPECT_EQ(flow.AppReadRx(out, 200), 200u);
   EXPECT_EQ(std::memcmp(data, out, 200), 0);
-  EXPECT_EQ(flow.fs.rx_tail, base + 200);  // Wrapped past zero.
+  EXPECT_EQ(uint32_t{flow.fs.rx_tail}, base + 200);  // Wrapped past zero.
 }
 
 TEST(FlowBufferTest, TxWriteRespectsCapacity) {
   Flow flow;
-  flow.cold().tx_mem.resize(128);
-  flow.fs.tx_base = flow.cold().tx_mem.data();
+  std::vector<uint8_t> tx(128);
+  flow.fs.tx_base = tx.data();
   flow.fs.tx_size = 128;
   uint8_t data[200] = {};
   EXPECT_EQ(flow.AppWriteTx(data, 200), 128u);
@@ -85,19 +87,24 @@ TEST(FlowBufferTest, TokenBucketRefills) {
 
 // --- Zero-free-slot invariant: Reset() scrubs every byte the flow wrote ---
 
-// Sizes both rings of a standalone flow as a slab flow's are sized.
-void SizeRings(Flow& flow, uint32_t size) {
-  flow.cold().rx_mem.resize(size);
-  flow.cold().tx_mem.resize(size);
-  flow.fs.rx_base = flow.cold().rx_mem.data();
-  flow.fs.tx_base = flow.cold().tx_mem.data();
-  flow.fs.rx_size = size;
-  flow.fs.tx_size = size;
-}
+// A standalone flow whose rings are caller-owned, sized as a slab flow's
+// rings are.
+struct RingFlow {
+  explicit RingFlow(uint32_t size) : rx(size), tx(size) {
+    flow.fs.rx_base = rx.data();
+    flow.fs.tx_base = tx.data();
+    flow.fs.rx_size = size;
+    flow.fs.tx_size = size;
+  }
+  std::vector<uint8_t> rx;
+  std::vector<uint8_t> tx;
+  Flow flow;
+};
 
-bool AllZero(const std::vector<uint8_t>& ring) {
-  return std::all_of(ring.begin(), ring.end(), [](uint8_t b) { return b == 0; });
+bool AllZero(const uint8_t* ring, size_t len) {
+  return std::all_of(ring, ring + len, [](uint8_t b) { return b == 0; });
 }
+bool AllZero(const std::vector<uint8_t>& ring) { return AllZero(ring.data(), ring.size()); }
 
 // Nonzero payload, so a byte the scrub missed shows.
 std::vector<uint8_t> Pattern(size_t len) {
@@ -116,31 +123,36 @@ void ReceiveInOrder(Flow& flow, uint32_t len) {
   flow.fs.rx_head += len;
 }
 
-void ExpectScrubbedAndSized(Flow& flow, uint32_t size) {
-  flow.Reset();
-  EXPECT_EQ(flow.cold().rx_mem.size(), size);  // Kept: no re-resize on reuse.
-  EXPECT_EQ(flow.cold().tx_mem.size(), size);
-  EXPECT_TRUE(AllZero(flow.cold().rx_mem));
-  EXPECT_TRUE(AllZero(flow.cold().tx_mem));
+void ExpectScrubbed(RingFlow& r) {
+  r.flow.Reset();
+  EXPECT_TRUE(AllZero(r.rx));
+  EXPECT_TRUE(AllZero(r.tx));
 }
 
 TEST(FlowScrubTest, DataAcrossWireWrapAndRingEnd) {
-  Flow flow;
-  SizeRings(flow, 256);
-  flow.AnchorRx(0xFFFFFF80u);  // Ring index 128; 200 bytes cross 2^32 and 256.
-  flow.AnchorTx(0xFFFFFFC0u);  // Ring index 192.
+  RingFlow r(256);
+  Flow& flow = r.flow;
+  flow.AnchorRx(0xFFFFFF80u);  // 200 bytes cross 2^32.
+  flow.AnchorTx(0xFFFFFFC0u);
   ReceiveInOrder(flow, 200);
+  EXPECT_NE(r.rx[0], 0);  // The first byte sits at ring offset 0 ...
+  EXPECT_EQ(r.rx[200], 0);  // ... and nothing past the last one.
   const std::vector<uint8_t> data = Pattern(150);
   EXPECT_EQ(flow.AppWriteTx(data.data(), 150), 150u);
+  EXPECT_TRUE(AllZero(&r.tx[150], 106));
   const uint32_t rx_head = flow.fs.rx_head;  // Copied: gtest binds a reference.
-  EXPECT_LT(rx_head, flow.cold().rx_start);    // Wrapped past zero.
-  EXPECT_FALSE(AllZero(flow.cold().rx_mem));
-  ExpectScrubbedAndSized(flow, 256);
+  EXPECT_LT(rx_head, flow.rx_anchor);         // Wrapped past zero.
+  // Read it all, then 100 more bytes cross the ring end.
+  uint8_t sink[200];
+  EXPECT_EQ(flow.AppReadRx(sink, 200), 200u);
+  ReceiveInOrder(flow, 100);
+  EXPECT_NE(r.rx[0], 0);
+  ExpectScrubbed(r);
 }
 
 TEST(FlowScrubTest, OpenOutOfOrderInterval) {
-  Flow flow;
-  SizeRings(flow, 1024);
+  RingFlow r(1024);
+  Flow& flow = r.flow;
   flow.AnchorRx(5000);
   flow.AnchorTx(9000);
   ReceiveInOrder(flow, 100);
@@ -149,12 +161,12 @@ TEST(FlowScrubTest, OpenOutOfOrderInterval) {
   flow.fs.ooo_start = 5400;
   flow.fs.ooo_len = 300;
   flow.CopyIntoRx(5400, ooo.data(), 300);
-  ExpectScrubbedAndSized(flow, 1024);
+  ExpectScrubbed(r);
 }
 
 TEST(FlowScrubTest, MoreWrittenThanRingSize) {
-  Flow flow;
-  SizeRings(flow, 256);
+  RingFlow r(256);
+  Flow& flow = r.flow;
   flow.AnchorRx(1);
   flow.AnchorTx(2);
   const std::vector<uint8_t> data = Pattern(100);
@@ -165,18 +177,44 @@ TEST(FlowScrubTest, MoreWrittenThanRingSize) {
     EXPECT_EQ(flow.AppWriteTx(data.data(), 100), 100u);
     flow.fs.tx_tail += 100;  // Acked.
   }
-  ExpectScrubbedAndSized(flow, 256);
+  ExpectScrubbed(r);
+}
+
+TEST(FlowScrubTest, MovedFourGiBOrMore) {
+  // After 2^32 + 10 bytes a direction's positions stand 10 past the anchor
+  // again, yet every ring byte has held payload. Fill each ring once through
+  // libTAS, then move the positions on by the rest of the 4 GiB at once.
+  RingFlow r(256);
+  Flow& flow = r.flow;
+  flow.AnchorRx(0x12345678u);
+  flow.AnchorTx(0x9ABCDEF0u);
+  ReceiveInOrder(flow, 256);
+  uint8_t sink[256];
+  EXPECT_EQ(flow.AppReadRx(sink, 256), 256u);
+  const std::vector<uint8_t> data = Pattern(256);
+  EXPECT_EQ(flow.AppWriteTx(data.data(), 256), 256u);
+  EXPECT_TRUE(flow.rx_wrapped);
+  EXPECT_TRUE(flow.tx_wrapped);
+  const uint32_t rx_pos = flow.rx_anchor + 10;
+  flow.fs.ack = rx_pos;
+  flow.fs.rx_head = rx_pos;
+  flow.fs.rx_tail = rx_pos;
+  const uint32_t tx_pos = flow.tx_anchor + 10;
+  flow.fs.seq = tx_pos;
+  flow.fs.tx_head = tx_pos;
+  flow.fs.tx_tail = tx_pos;
+  ExpectScrubbed(r);
 }
 
 TEST(FlowScrubTest, FreedBeforeHandshake) {
   // AllocateFlow anchored tx and the app queued data; the SYN-ACK never came,
   // so rx was never anchored.
-  Flow flow;
-  SizeRings(flow, 512);
+  RingFlow r(512);
+  Flow& flow = r.flow;
   flow.AnchorTx(0xFFFFFF00u);
   const std::vector<uint8_t> data = Pattern(400);
   EXPECT_EQ(flow.AppWriteTx(data.data(), 400), 400u);
-  ExpectScrubbedAndSized(flow, 512);
+  ExpectScrubbed(r);
 }
 
 TEST(ContextQueueTest, NotifyOnlyOnEmptyToNonEmpty) {
@@ -236,10 +274,11 @@ TEST_F(TasServiceFixture, FlowAllocationAndLookup) {
 
   Flow* flow = service_->flow_by_id(id);
   ASSERT_NE(flow, nullptr);
-  EXPECT_EQ(flow->fs.rx_size, service_->config().rx_buffer_bytes);
+  // Packed fields are copied (T{...}): gtest binds a reference.
+  EXPECT_EQ(uint32_t{flow->fs.rx_size}, service_->config().rx_buffer_bytes);
   // Transmit positions anchored at iss+1 with nothing outstanding.
-  EXPECT_EQ(flow->fs.seq, flow->fs.tx_tail);
-  EXPECT_EQ(flow->fs.tx_sent, 0u);
+  EXPECT_EQ(uint32_t{flow->fs.seq}, uint32_t{flow->fs.tx_tail});
+  EXPECT_EQ(uint32_t{flow->fs.tx_sent}, 0u);
 
   service_->FreeFlow(id);
   EXPECT_EQ(service_->LookupFlowId(key), kInvalidFlow);
@@ -375,15 +414,145 @@ TEST(TasRecycleTest, RecycledSlotsStartWithZeroBuffers) {
         break;
       }
       ++recycled;
-      const FlowCold& cold = service->flow_by_id(id)->cold();
-      EXPECT_EQ(cold.rx_mem.size(), service->config().rx_buffer_bytes);
-      EXPECT_EQ(cold.tx_mem.size(), service->config().tx_buffer_bytes);
-      EXPECT_TRUE(AllZero(cold.rx_mem)) << "host " << h << " slot " << FlowSlotOf(id);
-      EXPECT_TRUE(AllZero(cold.tx_mem)) << "host " << h << " slot " << FlowSlotOf(id);
+      const FlowState& fs = service->flow_by_id(id)->fs;
+      const uint32_t rx_size = fs.rx_size;  // Copied: gtest binds a reference.
+      const uint32_t tx_size = fs.tx_size;
+      EXPECT_EQ(rx_size, service->config().rx_buffer_bytes);
+      EXPECT_EQ(tx_size, service->config().tx_buffer_bytes);
+      EXPECT_TRUE(AllZero(fs.rx_base, fs.rx_size)) << "host " << h << " slot " << FlowSlotOf(id);
+      EXPECT_TRUE(AllZero(fs.tx_base, fs.tx_size)) << "host " << h << " slot " << FlowSlotOf(id);
     }
     EXPECT_GE(recycled, 16u) << "host " << h;
   }
 }
+
+// --- Ring residency: memory follows the bytes a flow moves ---
+
+// Indexes of the resident pages among those overlapping [ring, ring + len).
+std::vector<size_t> ResidentPages(const uint8_t* ring, size_t len) {
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(ring) / page * page;
+  const uintptr_t end = reinterpret_cast<uintptr_t>(ring) + len;
+  std::vector<unsigned char> vec((end - begin + page - 1) / page);
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(begin), end - begin, vec.data()), 0);
+  std::vector<size_t> resident;
+  for (size_t i = 0; i < vec.size(); ++i) {
+    if ((vec[i] & 1) != 0) {
+      resident.push_back(i);
+    }
+  }
+  return resident;
+}
+
+// The live flow in slab slot 0 (each host below holds one flow at a time).
+Flow* SlotZeroFlow(TasService* service) {
+  for (uint32_t gen = 0; gen < 8; ++gen) {
+    if (Flow* flow = service->flow_by_id(MakeFlowId(0, gen))) {
+      return flow;
+    }
+  }
+  return nullptr;
+}
+
+// Connects, sends one request and reads its echo; closes on demand.
+class OneRequestClient : public AppHandler {
+ public:
+  OneRequestClient(Stack* stack, IpAddr server, uint16_t port, size_t bytes)
+      : stack_(stack), request_(Pattern(bytes)) {
+    stack_->SetHandler(this);
+    conn_ = stack_->Connect(server, port);
+  }
+  void OnConnected(ConnId conn, bool success) override {
+    ASSERT_TRUE(success);
+    EXPECT_EQ(stack_->Send(conn, request_.data(), request_.size()), request_.size());
+  }
+  void OnData(ConnId conn, size_t bytes) override {
+    std::vector<uint8_t> buf(bytes);
+    received_ += stack_->Recv(conn, buf.data(), bytes);
+  }
+  void Close() { stack_->Close(conn_); }
+  size_t received() const { return received_; }
+
+ private:
+  Stack* stack_;
+  std::vector<uint8_t> request_;
+  ConnId conn_ = 0;
+  size_t received_ = 0;
+};
+
+TEST(RingResidencyTest, ShortFlowTouchesOnlyFirstPageOfEachRing) {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  LinkConfig link;
+  auto exp = Experiment::PointToPoint(spec, spec, link);
+  TasService* hosts[2] = {exp->host(0).tas(), exp->host(1).tas()};
+  const auto expect_rings = [&](const std::vector<size_t>& pages, const char* when) {
+    for (TasService* service : hosts) {
+      const Flow* flow = SlotZeroFlow(service);
+      ASSERT_NE(flow, nullptr) << when;
+      const FlowState& fs = flow->fs;
+      EXPECT_EQ(ResidentPages(fs.rx_base, fs.rx_size), pages) << when << ": rx";
+      EXPECT_EQ(ResidentPages(fs.tx_base, fs.tx_size), pages) << when << ": tx";
+    }
+  };
+
+  // A fresh slot's rings are mapped but hold no resident page.
+  for (TasService* service : hosts) {
+    service->AllocateFlow(FlowKey{40000, MakeIp(10, 9, 9, 9), 1});
+  }
+  expect_rings({}, "fresh");
+  for (TasService* service : hosts) {
+    service->FreeFlow(service->LookupFlowId(FlowKey{40000, MakeIp(10, 9, 9, 9), 1}));
+  }
+
+  EchoServerConfig sc;
+  sc.request_bytes = 100;
+  sc.response_bytes = 100;
+  EchoServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+  server.Start();
+  for (int round = 0; round < 2; ++round) {
+    // Each round's flows reuse slot 0 on both hosts.
+    OneRequestClient client(exp->host(1).stack(), exp->host(0).ip(), sc.port, 100);
+    exp->sim().RunUntil(exp->sim().Now() + Ms(5));
+    ASSERT_EQ(client.received(), 100u);
+    expect_rings({0}, round == 0 ? "after exchange" : "after exchange on a reused slot");
+    client.Close();
+    exp->sim().RunUntil(exp->sim().Now() + Ms(50));
+    for (TasService* service : hosts) {
+      ASSERT_EQ(service->num_flows(), 0u);
+    }
+  }
+  // Freed and reused: the scrub rewrote page 0 and touched nothing else.
+  for (TasService* service : hosts) {
+    const FlowId id = service->AllocateFlow(FlowKey{40001, MakeIp(10, 9, 9, 9), 1});
+    EXPECT_GT(FlowGenOf(id), 0u);
+  }
+  expect_rings({0}, "freed and reused");
+  // Checked last: reading a never-written page maps the zero page, which
+  // mincore counts as resident.
+  for (TasService* service : hosts) {
+    const FlowState& fs = SlotZeroFlow(service)->fs;
+    EXPECT_TRUE(AllZero(fs.rx_base, fs.rx_size));
+    EXPECT_TRUE(AllZero(fs.tx_base, fs.tx_size));
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// The slab's rings share one mapping, so only the poisoned gap after each
+// ring stops an overrun from landing silently in the next one.
+TEST(RingGuardDeathTest, OneByteOverrunAborts) {
+  FlowSlab slab(4096, 4096);
+  Flow& flow = *slab.Get(slab.Allocate());
+  volatile uint8_t* rx = flow.fs.rx_base;
+  volatile uint8_t* tx = flow.fs.tx_base;
+  const uint32_t rx_size = flow.fs.rx_size;
+  const uint32_t tx_size = flow.fs.tx_size;
+  rx[rx_size - 1] = 1;
+  tx[tx_size - 1] = 1;
+  EXPECT_DEATH(rx[rx_size] = 1, "AddressSanitizer");
+  EXPECT_DEATH(tx[tx_size] = 1, "AddressSanitizer");
+}
+#endif
 
 TEST(TasScalerTest, CoresGrowUnderLoadAndShrinkWhenIdle) {
   HostSpec server_spec;
@@ -459,7 +628,7 @@ TEST(TasStateTest, BucketHelpersRoundTrip) {
   EXPECT_EQ(PeerWindowBytes(fs), 65536u);
   // Saturation at the 16-bit granule limit.
   SetPeerWindowBytes(fs, 1ull << 40);
-  EXPECT_EQ(fs.window, 0xFFFF);
+  EXPECT_EQ(uint16_t{fs.window}, 0xFFFF);
 }
 
 }  // namespace

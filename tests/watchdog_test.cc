@@ -335,6 +335,32 @@ TEST(WatchdogTest, ArmedUntriggeredRunIsWorkloadIdenticalToRecorderOff) {
   EXPECT_EQ(off, armed);
 }
 
+TEST(WatchdogTest, WatchdogOnlyHostRecordsCongestionControlUpdates) {
+  // Global flow tracing stays off: the recorder tap alone must still see
+  // the slow path's congestion-control updates.
+  HostSpec client = TasSpec();
+  client.tas_overridden = true;
+  client.tas.watchdog.enabled = true;
+  auto exp = Experiment::PointToPoint(TasSpec(), client, ChaosLink());
+  RecordingServer server(exp->host(0).stack(), 7000);
+  PatternClient pattern(exp->host(1).stack(), exp->host(0).ip(), 7000, 200000);
+  server.Start();
+  pattern.Start();
+  exp->sim().RunUntil(Ms(50));
+
+  const FlightRecorder* recorder = exp->host(1).tas()->owned_recorder();
+  ASSERT_NE(recorder, nullptr);
+  EXPECT_EQ(exp->host(1).tas()->flow_trace().size(), 0u);  // Own ring unused.
+  size_t cc_updates = 0;
+  for (const RecorderRecord& r : recorder->CaptureWindow(0, exp->sim().Now())) {
+    if (r.stream == RecorderStream::kFlow &&
+        r.type == static_cast<uint8_t>(FlowEventType::kCcUpdate)) {
+      ++cc_updates;
+    }
+  }
+  EXPECT_GT(cc_updates, 0u);
+}
+
 // --- Recorder mechanics ------------------------------------------------------
 
 TEST(WatchdogTest, RecorderRingOverwritesOldestAndCapturesSortedWindow) {
